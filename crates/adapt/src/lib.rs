@@ -871,7 +871,11 @@ mod tests {
             fleet.tick(&mut out);
             assert_eq!(out.len(), 1, "missed tick at t={t}");
             t += 1;
-            if let Some(adapted) = if t < 420 { ctl.poll() } else { ctl.wait() } {
+            if t >= 420 {
+                // A failed re-fit publishes nothing: fail, don't spin.
+                break ctl.wait().expect("the re-fit publishes an ensemble");
+            }
+            if let Some(adapted) = ctl.poll() {
                 break adapted;
             }
         };
@@ -881,6 +885,9 @@ mod tests {
 
     #[test]
     fn drift_starts_a_background_refit_and_publishes_a_swap() {
+        // Re-fits run on their own thread and consult the process-global
+        // failpoints, so this test must not overlap the chaos tests below.
+        let _guard = cae_chaos::exclusive();
         let (ctl, fleet, adapted) = run_drift_loop(small_cfg());
         assert_eq!(ctl.stats().refits_started, 1);
         assert_eq!(ctl.stats().refits_completed, 1);
@@ -919,6 +926,9 @@ mod tests {
     /// fresh registry.
     #[test]
     fn registry_counters_mirror_adaptation_stats() {
+        // Re-fits run on their own thread and consult the process-global
+        // failpoints, so this test must not overlap the chaos tests below.
+        let _guard = cae_chaos::exclusive();
         let live = trained_on_regime_a();
         let healthy =
             TimeSeries::univariate((0..200).map(|t| drift_wave(t, 0.25, 1.0, 0.0)).collect());
@@ -995,6 +1005,9 @@ mod tests {
 
     #[test]
     fn published_checkpoint_loads_bit_identically() {
+        // Re-fits run on their own thread and consult the process-global
+        // failpoints, so this test must not overlap the chaos tests below.
+        let _guard = cae_chaos::exclusive();
         let path =
             std::env::temp_dir().join(format!("cae_adapt_checkpoint_{}.caee", std::process::id()));
         let (ctl, _fleet, adapted) = run_drift_loop(small_cfg().checkpoint_path(&path));
@@ -1013,6 +1026,9 @@ mod tests {
 
     #[test]
     fn cooldown_blocks_back_to_back_refits() {
+        // Re-fits run on their own thread and consult the process-global
+        // failpoints, so this test must not overlap the chaos tests below.
+        let _guard = cae_chaos::exclusive();
         let live = trained_on_regime_a();
         let baseline = vec![0.01; 64]; // tiny band: everything drifts
         let mut ctl = AdaptationController::new(
@@ -1040,6 +1056,9 @@ mod tests {
 
     #[test]
     fn min_observations_gate_refits() {
+        // Re-fits run on their own thread and consult the process-global
+        // failpoints, so this test must not overlap the chaos tests below.
+        let _guard = cae_chaos::exclusive();
         let live = trained_on_regime_a();
         let baseline = vec![0.01; 64];
         let mut ctl = AdaptationController::new(&live, &baseline, small_cfg());

@@ -291,7 +291,7 @@ impl CaeEnsemble {
 
     /// Reconstruction of every listed window under one member, flattened
     /// `(num_starts × w × recon_dim)` row-major.
-    fn reconstruct_all(
+    pub(crate) fn reconstruct_all(
         model: &Cae,
         store: &ParamStore,
         series: &TimeSeries,
@@ -300,12 +300,9 @@ impl CaeEnsemble {
         let w = model.config().window;
         let rd = model.config().recon_dim();
         let mut out = Vec::with_capacity(starts.len() * w * rd);
-        let mut tape = Tape::new();
         for chunk in starts.chunks(INFERENCE_BATCH) {
             let batch = Self::gather_windows(series, chunk, w);
-            tape.clear();
-            let fwd = model.forward(&mut tape, store, &batch);
-            out.extend_from_slice(tape.value(fwd.recon).data());
+            model.infer(store, &batch).recon_into(&mut out);
             batch.recycle();
         }
         out
@@ -350,10 +347,9 @@ impl CaeEnsemble {
             let (model, store) = &self.members[m];
             let mut errors = Vec::with_capacity(n_win * w);
             let starts: Vec<usize> = (0..n_win).collect();
-            let mut tape = Tape::new();
             for chunk in starts.chunks(INFERENCE_BATCH) {
                 let batch = Self::gather_windows(&scaled, chunk, w);
-                errors.extend(model.window_errors_with(&mut tape, store, &batch));
+                model.infer(store, &batch).errors_into(&batch, &mut errors);
                 batch.recycle();
             }
             series_scores_from_window_errors(&errors, n_win, w)
@@ -378,37 +374,24 @@ impl CaeEnsemble {
     /// This is the serving hot path shared by [`StreamingDetector`] and
     /// the fleet detector: every member runs on the whole batch, so with
     /// `B` pooled streams inference goes through the packed GEMM kernels
-    /// instead of `B` batch-size-1 forwards. The caller provides the tape
-    /// so its node storage cycles through the scratch pool across calls.
+    /// instead of `B` batch-size-1 forwards. Members run the tape-free
+    /// [`Cae::infer`], the same forward as the batch scorer, so the two
+    /// agree bit for bit. `_tape` is unused; the parameter stays so
+    /// existing callers build unchanged.
     ///
     /// [`StreamingDetector`]: crate::StreamingDetector
-    pub fn score_scaled_windows_into(&self, tape: &mut Tape, batch: &Tensor, out: &mut Vec<f32>) {
+    pub fn score_scaled_windows_into(&self, _tape: &mut Tape, batch: &Tensor, out: &mut Vec<f32>) {
         assert!(
             !self.members.is_empty(),
             "score_scaled_windows_into before fit()"
         );
         assert_eq!(batch.rank(), 3, "window batch must be (B, w, D)");
-        let (b, w) = (batch.dims()[0], batch.dims()[1]);
+        let b = batch.dims()[0];
         let m = self.members.len();
-        // Last-position error per (member, window), member-major. Only
-        // the last position of each window is scored, so the error is
-        // computed for that row alone (`sq_dist` matches the batch
-        // scorer's full-tensor arithmetic bit-exactly) instead of
-        // materializing a (B, w, D′) difference tensor per member.
+        // Last-position error per (member, window), member-major.
         let mut last = scratch::take(m * b);
         for (model, store) in &self.members {
-            tape.clear();
-            let fwd = model.forward(tape, store, batch);
-            let recon = tape.value(fwd.recon);
-            let target = match model.config().target {
-                crate::ReconstructionTarget::Embedded => tape.value(fwd.embedded),
-                crate::ReconstructionTarget::Raw => batch,
-            };
-            let rd = model.config().recon_dim();
-            last.extend((0..b).map(|row| {
-                let at = (row * w + w - 1) * rd;
-                cae_tensor::sq_dist(&recon.data()[at..at + rd], &target.data()[at..at + rd])
-            }));
+            model.infer(store, batch).last_errors_into(batch, &mut last);
         }
         let mut column = scratch::take(m);
         out.reserve(b);

@@ -9,7 +9,9 @@
 //!   model (Section 3.1): observation+position embedding, GLU-gated
 //!   convolutional encoder with skip connections, causal convolutional
 //!   decoder with encoder-state injection, per-layer global attention and a
-//!   reconstruction head.
+//!   reconstruction head. Training records its forward on an autograd
+//!   tape; every scorer runs [`Cae::infer`], a tape-free forward whose
+//!   [`Inference`] is bit-identical to the tape's.
 //! * [`CaeEnsemble`] — the diversity-driven ensemble (Section 3.2):
 //!   sequential basic-model generation with parameter transfer (fraction β,
 //!   Figure 9), the diversity-driven objective `J − λK` (Eq. 13) and median
@@ -65,7 +67,7 @@ mod streaming;
 pub use config::{CaeConfig, EnsembleConfig, ReconstructionTarget};
 pub use ensemble::{CaeEnsemble, RefitOptions};
 pub use hyper::{select_hyperparameters, HyperRanges, HyperSelection, TrialRecord};
-pub use model::Cae;
+pub use model::{Cae, Inference};
 pub use persist::{FallbackExhausted, PersistError, RecoveredLoad};
 pub use repair::{repair_series, RepairReport};
 pub use streaming::StreamingDetector;

@@ -16,12 +16,22 @@
 //!    global attention between the decoder state summary `z_t = W_z d_t +
 //!    b_z` and the encoder states, added back into the decoder state.
 //! 5. **Reconstruction** (Sec. 3.1.5): `X̂ = f_R(W_R ⊗ GLU(D^{L+1}) + b_R)`.
+//!
+//! Two forwards compute this network. [`Cae::forward`] records it on an
+//! autograd [`Tape`] for training. [`Cae::infer`] is the scoring forward:
+//! no tape, activations kept channel-major `(B, C, w)` from the
+//! embedding through the reconstruction head, each GLU's value and gate
+//! convolutions run as one stacked GEMM, biases, activations and residual
+//! adds applied in place on scratch-pool buffers, and weights borrowed
+//! from the [`ParamStore`]. Its outputs are bit-identical to the tape's
+//! (see [`cae_tensor::infer`] for the rules that keep them so).
 
 use crate::config::{CaeConfig, ReconstructionTarget};
 use cae_autograd::{ParamStore, Tape, Var};
 use cae_nn::{Activation, Conv1dLayer, GluConv1d, Initializer, Linear, XavierInit, ZerosInit};
-use cae_tensor::{Padding, Tensor};
+use cae_tensor::{infer, scratch, simd, Padding, Tensor};
 use rand::Rng;
+use std::ops::Range;
 
 /// One basic model of the ensemble: the convolutional seq2seq autoencoder.
 ///
@@ -202,7 +212,7 @@ impl Cae {
     /// embedding: `t / w` for `t = 0…w−1`.
     fn position_input(&self) -> Tensor {
         let w = self.cfg.window;
-        Tensor::from_vec((0..w).map(|t| t as f32 / w as f32).collect(), &[w, 1])
+        Tensor::from_iter_pooled(&[w, 1], (0..w).map(|t| t as f32 / w as f32))
     }
 
     /// The embedding sub-network alone: `X = V + P` for a `(B, w, D)`
@@ -216,8 +226,9 @@ impl Cae {
         tape.add_broadcast0(v, p)
     }
 
-    /// Runs the autoencoder on a batch of windows `(B, w, D)`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, batch: &Tensor) -> CaeOutput {
+    /// Panics unless `batch` is a `(B, w, D)` batch of this model's
+    /// windows.
+    fn check_batch(&self, batch: &Tensor) {
         assert_eq!(batch.rank(), 3, "CAE input must be (B, w, D)");
         assert_eq!(
             batch.dims()[1],
@@ -233,6 +244,12 @@ impl Cae {
             batch.dims()[2],
             self.cfg.dim
         );
+    }
+
+    /// Runs the autoencoder on a batch of windows `(B, w, D)`, recording
+    /// every op on `tape` (the training forward).
+    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, batch: &Tensor) -> CaeOutput {
+        self.check_batch(batch);
 
         // --- Embedding: X = V + P (B, w, D′) -------------------------------
         let x = self.embed(tape, store, batch);
@@ -314,35 +331,297 @@ impl Cae {
         }
     }
 
-    /// Per-window, per-position squared reconstruction errors
-    /// `‖x_t − x̂_t‖²` (Eq. 14) for a batch of windows: returns a
-    /// `(B, w)`-shaped vector in row-major order.
-    pub fn window_errors(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
-        let mut tape = Tape::new();
-        self.window_errors_with(&mut tape, store, batch)
+    /// Runs the autoencoder on a batch of windows `(B, w, D)` without a
+    /// tape — the scoring forward (see the module docs). The embedding
+    /// and reconstruction it returns are bit-identical to
+    /// [`Cae::forward`]'s on the same batch, on either dispatch path.
+    pub fn infer(&self, store: &ParamStore, batch: &Tensor) -> Inference {
+        self.check_batch(batch);
+        let cfg = &self.cfg;
+        let (b, w, c) = (batch.dims()[0], cfg.window, cfg.embed_dim);
+        let n = b * c * w;
+        let x = self.embed_channel_major(store, batch);
+        let mut glu = scratch::take_full(n);
+        let mut pair = scratch::take_full(2 * n);
+
+        // --- Encoder (Eq. 3–5): E^{l+1} = f_E(W_E ⊗ GLU(E^l) + b_E) + E^l.
+        // All L states in one buffer; the decoder and attention read them.
+        let mut states = scratch::take_full(cfg.layers * n);
+        for l in 0..cfg.layers {
+            let (done, rest) = states.split_at_mut(l * n);
+            let input = if l == 0 { &x[..] } else { &done[(l - 1) * n..] };
+            let e = &mut rest[..n];
+            glu_into(&self.enc_glu[l], store, input, b, w, &mut pair, &mut glu);
+            conv_into(&self.enc_conv[l], store, &glu, b, w, e);
+            cfg.conv_activation.apply_in_place(e);
+            add_assign(e, input);
+        }
+
+        // --- Decoder input: the embedding shifted one step right.
+        let mut dec = scratch::take_full(n);
+        for (d, xs) in dec.chunks_exact_mut(w).zip(x.chunks_exact(w)) {
+            d[0] = 0.0;
+            d[1..].copy_from_slice(&xs[..w - 1]);
+        }
+
+        // --- Decoder (Eq. 6) + attention (Eq. 7).
+        let mut next = scratch::take_full(n);
+        let (mut z, mut alpha) = if cfg.attention {
+            (scratch::take_full(n), scratch::take_full(b * w * w))
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        for l in 0..cfg.layers {
+            let enc = &states[l * n..(l + 1) * n];
+            glu_into(&self.dec_glu[l], store, &dec, b, w, &mut pair, &mut glu);
+            conv_into(&self.dec_conv[l], store, &glu, b, w, &mut next);
+            add_assign(&mut next, enc);
+            cfg.conv_activation.apply_in_place(&mut next);
+            add_assign(&mut next, &dec);
+            std::mem::swap(&mut dec, &mut next);
+
+            if cfg.attention {
+                // z = W_z d + b_z (a 1×1 channel map), α = softmax(zᵀE),
+                // D += E αᵀ.
+                let (wz, bz) = self.attn_summary[l].params(store);
+                infer::channel_linear_into(&dec, b, w, wz, &mut z);
+                add_channel_bias(&mut z, bz.data(), w);
+                infer::attention_scores_into(&z, enc, b, c, w, &mut alpha);
+                for row in alpha.chunks_exact_mut(w) {
+                    simd::softmax_row(row);
+                }
+                infer::attention_context_into(enc, &alpha, b, c, w, &mut next);
+                add_assign(&mut dec, &next);
+            }
+        }
+
+        // --- Reconstruction (Sec. 3.1.5).
+        glu_into(&self.recon_glu, store, &dec, b, w, &mut pair, &mut glu);
+        let mut recon = scratch::take_full(b * cfg.recon_dim() * w);
+        conv_into(&self.recon_conv, store, &glu, b, w, &mut recon);
+        cfg.recon_activation.apply_in_place(&mut recon);
+
+        for buf in [glu, pair, states, dec, next, z, alpha] {
+            scratch::recycle(buf);
+        }
+        Inference {
+            embedded: x,
+            recon,
+            batches: b,
+            window: w,
+            recon_dim: cfg.recon_dim(),
+            target: cfg.target,
+        }
     }
 
-    /// [`Cae::window_errors`] on a caller-provided tape, so scoring loops
-    /// can reuse one tape (and its recycled tensor storage) across batches.
-    pub fn window_errors_with(
+    /// The embedding `X = V + P` of a `(B, w, D)` batch, channel-major
+    /// `(B, D′, w)` in a scratch buffer. The affine maps run time-major
+    /// as in [`Cae::embed`]; the sum is written transposed — the one
+    /// transpose of [`Cae::infer`].
+    fn embed_channel_major(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
+        let (b, w, d, c) = (
+            batch.dims()[0],
+            self.cfg.window,
+            self.cfg.dim,
+            self.cfg.embed_dim,
+        );
+        let v = self.affine_time_major(&self.obs_embed, store, batch.data(), b * w, d);
+        let pos = self.position_input();
+        let p = self.affine_time_major(&self.pos_embed, store, pos.data(), w, 1);
+        pos.recycle();
+        let mut x = scratch::take_full(b * c * w);
+        for (bi, xb) in x.chunks_exact_mut(c * w).enumerate() {
+            for t in 0..w {
+                let vr = &v[(bi * w + t) * c..][..c];
+                let pr = &p[t * c..][..c];
+                for (ch, (&vv, &pv)) in vr.iter().zip(pr).enumerate() {
+                    xb[ch * w + t] = vv + pv;
+                }
+            }
+        }
+        scratch::recycle(v);
+        scratch::recycle(p);
+        x
+    }
+
+    /// `f(rows · W + b)` for `rows` inputs of width `width` through an
+    /// embedding layer — [`Linear::forward`] into a scratch buffer.
+    fn affine_time_major(
         &self,
-        tape: &mut Tape,
+        layer: &Linear,
         store: &ParamStore,
-        batch: &Tensor,
+        input: &[f32],
+        rows: usize,
+        width: usize,
     ) -> Vec<f32> {
-        tape.clear();
-        let out = self.forward(tape, store, batch);
-        // Scoring needs no gradient, so the target can be borrowed
-        // straight off the tape instead of cloned the way the training
-        // loss path must ([`Cae::target_tensor`]).
-        let target = match self.cfg.target {
-            ReconstructionTarget::Embedded => tape.value(out.embedded),
-            ReconstructionTarget::Raw => batch,
-        };
-        let diff = tape.value(out.recon).sub(target);
-        let errors = diff.row_sq_norms();
-        diff.recycle();
-        errors
+        let (weight, bias) = layer.params(store);
+        let c = self.cfg.embed_dim;
+        let mut out = scratch::take_full(rows * c);
+        infer::matmul_into(input, weight.data(), &mut out, rows, width, c);
+        for row in out.chunks_exact_mut(c) {
+            add_assign(row, bias.data());
+        }
+        self.cfg.embed_activation.apply_in_place(&mut out);
+        out
+    }
+}
+
+/// `GLU(x) = (W₁ ⊗ x + b₁) ⊙ σ(W₂ ⊗ x + b₂)` of a channel-major batch
+/// into `out`. Both convolutions run as one stacked GEMM into `pair`
+/// (`2·len(out)`): per batch element the value rows, then the gate rows.
+fn glu_into(
+    glu: &GluConv1d,
+    store: &ParamStore,
+    x: &[f32],
+    b: usize,
+    w: usize,
+    pair: &mut [f32],
+    out: &mut [f32],
+) {
+    let (wv, bv) = glu.value_conv().params(store);
+    let (wg, bg) = glu.gate_conv().params(store);
+    infer::conv1d_into(x, b, w, &[wv, wg], glu.value_conv().padding(), pair);
+    let cw = bv.len() * w;
+    for (pb, ob) in pair.chunks_exact_mut(2 * cw).zip(out.chunks_exact_mut(cw)) {
+        let (value, gate) = pb.split_at_mut(cw);
+        add_channel_bias(gate, bg.data(), w);
+        simd::sigmoid_in_place(gate);
+        for (ch, &bias) in bv.data().iter().enumerate() {
+            let span = ch * w..(ch + 1) * w;
+            for ((o, &v), &g) in ob[span.clone()]
+                .iter_mut()
+                .zip(&value[span.clone()])
+                .zip(&gate[span])
+            {
+                *o = (v + bias) * g;
+            }
+        }
+    }
+}
+
+/// `out = W ⊗ x + b` for a plain convolution layer (its activation is
+/// applied by the caller, after any pre-activation injection).
+fn conv_into(
+    layer: &Conv1dLayer,
+    store: &ParamStore,
+    x: &[f32],
+    b: usize,
+    w: usize,
+    out: &mut [f32],
+) {
+    let (kernel, bias) = layer.params(store);
+    infer::conv1d_into(x, b, w, &[kernel], layer.padding(), out);
+    add_channel_bias(out, bias.data(), w);
+}
+
+/// Adds `bias[c]` to every length-`w` channel row of a channel-major
+/// buffer.
+fn add_channel_bias(x: &mut [f32], bias: &[f32], w: usize) {
+    for (row, &bv) in x.chunks_exact_mut(w).zip(bias.iter().cycle()) {
+        for v in row {
+            *v += bv;
+        }
+    }
+}
+
+/// `acc[i] += x[i]`.
+fn add_assign(acc: &mut [f32], x: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += v;
+    }
+}
+
+/// The result of one tape-free forward ([`Cae::infer`]): the embedded
+/// input and the reconstruction, channel-major, in scratch-pool buffers
+/// that return to the pool when the value is dropped.
+pub struct Inference {
+    /// Embedded input `X`, `(B, D′, w)`.
+    embedded: Vec<f32>,
+    /// Reconstruction `X̂`, `(B, R, w)`.
+    recon: Vec<f32>,
+    batches: usize,
+    window: usize,
+    recon_dim: usize,
+    target: ReconstructionTarget,
+}
+
+impl Inference {
+    /// Appends the reconstruction time-major, `(B, w, R)` row-major —
+    /// the layout of the tape forward's `CaeOutput::recon`.
+    pub fn recon_into(&self, out: &mut Vec<f32>) {
+        let (w, r) = (self.window, self.recon_dim);
+        out.reserve(self.recon.len());
+        for rb in self.recon.chunks_exact(r * w) {
+            for t in 0..w {
+                out.extend((0..r).map(|ch| rb[ch * w + t]));
+            }
+        }
+    }
+
+    /// Appends the squared reconstruction error `‖x_t − x̂_t‖²` (Eq. 14)
+    /// of every window position, `(B, w)` row-major. `batch` is the
+    /// input of the pass (the target of
+    /// [`ReconstructionTarget::Raw`]).
+    pub fn errors_into(&self, batch: &Tensor, out: &mut Vec<f32>) {
+        self.errors_at(batch, 0..self.window, out);
+    }
+
+    /// Appends the error of each window's **last** position only, one
+    /// per window — what the serving paths score.
+    pub fn last_errors_into(&self, batch: &Tensor, out: &mut Vec<f32>) {
+        self.errors_at(batch, self.window - 1..self.window, out);
+    }
+
+    /// Errors at `positions` of every window. Each is the sum of squares
+    /// of a contiguous difference row, as `recon.sub(target)` followed by
+    /// [`Tensor::row_sq_norms`] computes it on the tape's outputs.
+    fn errors_at(&self, batch: &Tensor, positions: Range<usize>, out: &mut Vec<f32>) {
+        let (w, r) = (self.window, self.recon_dim);
+        assert_eq!(
+            batch.dims()[..2],
+            [self.batches, w],
+            "errors need the forward's batch"
+        );
+        let mut diff = scratch::take_full(r);
+        for (bi, rb) in self.recon.chunks_exact(r * w).enumerate() {
+            for t in positions.clone() {
+                match self.target {
+                    ReconstructionTarget::Embedded => {
+                        let xb = &self.embedded[bi * r * w..(bi + 1) * r * w];
+                        for (ch, dv) in diff.iter_mut().enumerate() {
+                            *dv = rb[ch * w + t] - xb[ch * w + t];
+                        }
+                    }
+                    ReconstructionTarget::Raw => {
+                        let xt = &batch.data()[(bi * w + t) * r..][..r];
+                        for (ch, (dv, &xv)) in diff.iter_mut().zip(xt).enumerate() {
+                            *dv = rb[ch * w + t] - xv;
+                        }
+                    }
+                }
+                out.push(simd::sq_sum(&diff));
+            }
+        }
+        scratch::recycle(diff);
+    }
+}
+
+impl std::fmt::Debug for Inference {
+    /// Shape only — the buffers hold a whole batch of activations.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Inference")
+            .field("batches", &self.batches)
+            .field("window", &self.window)
+            .field("recon_dim", &self.recon_dim)
+            .field("target", &self.target)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for Inference {
+    fn drop(&mut self) {
+        scratch::recycle(std::mem::take(&mut self.embedded));
+        scratch::recycle(std::mem::take(&mut self.recon));
     }
 }
 
@@ -389,13 +668,20 @@ mod tests {
         assert_eq!(target.dims(), &[2, 8, 2]);
     }
 
+    /// All-position errors of the tape-free forward.
+    fn errors(model: &Cae, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
+        let mut out = Vec::new();
+        model.infer(store, batch).errors_into(batch, &mut out);
+        out
+    }
+
     #[test]
     fn forward_is_deterministic() {
         let (model, store) = build(small_cfg(), 3);
         let mut rng = StdRng::seed_from_u64(9);
         let batch = Tensor::rand_uniform(&[2, 8, 2], -1.0, 1.0, &mut rng);
-        let e1 = model.window_errors(&store, &batch);
-        let e2 = model.window_errors(&store, &batch);
+        let e1 = errors(&model, &store, &batch);
+        let e2 = errors(&model, &store, &batch);
         assert_eq!(e1, e2);
     }
 
@@ -403,7 +689,7 @@ mod tests {
     fn window_errors_shape() {
         let (model, store) = build(small_cfg(), 4);
         let batch = Tensor::zeros(&[5, 8, 2]);
-        let errors = model.window_errors(&store, &batch);
+        let errors = errors(&model, &store, &batch);
         assert_eq!(errors.len(), 5 * 8);
         assert!(errors.iter().all(|&e| e >= 0.0));
     }
@@ -416,8 +702,8 @@ mod tests {
         let batch = Tensor::rand_uniform(&[1, 8, 2], -1.0, 1.0, &mut rng);
         // Same seed ⇒ attention-off model has a param-store prefix in
         // common, but the forward graph differs; outputs must differ.
-        let e_with = with.0.window_errors(&with.1, &batch);
-        let e_without = without.0.window_errors(&without.1, &batch);
+        let e_with = errors(&with.0, &with.1, &batch);
+        let e_without = errors(&without.0, &without.1, &batch);
         assert_ne!(e_with, e_without);
     }
 
@@ -465,8 +751,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(22);
         let batch = Tensor::rand_uniform(&[3, 8, 2], -1.0, 1.0, &mut rng);
         assert_eq!(
-            model.window_errors(&store, &batch),
-            rebuilt.window_errors(&rebuilt_store, &batch)
+            errors(&model, &store, &batch),
+            errors(&rebuilt, &rebuilt_store, &batch)
         );
     }
 

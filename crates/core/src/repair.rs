@@ -17,7 +17,6 @@ use crate::config::ReconstructionTarget;
 use crate::ensemble::CaeEnsemble;
 use cae_data::scoring::median;
 use cae_data::{num_windows, TimeSeries};
-use cae_tensor::Tensor;
 
 /// Outcome of a repair pass.
 #[derive(Clone, Debug)]
@@ -62,7 +61,13 @@ pub fn repair_series(ensemble: &CaeEnsemble, series: &TimeSeries, threshold: f32
         None => series.clone(),
     };
     let n_win = num_windows(scaled.len(), w);
-    let recon_members: Vec<Vec<f32>> = ensemble.reconstruct_members(&scaled);
+    let starts: Vec<usize> = (0..n_win).collect();
+    // Raw-space reconstructions of every window, `(n_win × w × D)` per member.
+    let recon_members: Vec<Vec<f32>> = ensemble
+        .members_internal()
+        .iter()
+        .map(|(model, store)| CaeEnsemble::reconstruct_all(model, store, &scaled, &starts))
+        .collect();
 
     let mut repaired = series.clone();
     let mut replaced = Vec::new();
@@ -103,34 +108,6 @@ pub fn repair_series(ensemble: &CaeEnsemble, series: &TimeSeries, threshold: f32
         repaired,
         replaced,
         scores,
-    }
-}
-
-impl CaeEnsemble {
-    /// Raw-space reconstructions of every window for every member,
-    /// flattened `(num_windows × w × D)` row-major per member.
-    pub(crate) fn reconstruct_members(&self, scaled: &TimeSeries) -> Vec<Vec<f32>> {
-        let w = self.model_config().window;
-        let starts: Vec<usize> = (0..num_windows(scaled.len(), w)).collect();
-        self.members_internal()
-            .iter()
-            .map(|(model, store)| {
-                let mut out = Vec::with_capacity(starts.len() * w * scaled.dim());
-                for chunk in starts.chunks(64) {
-                    let mut data = vec![0.0f32; chunk.len() * w * scaled.dim()];
-                    let d = scaled.dim();
-                    for (row, &s) in chunk.iter().enumerate() {
-                        data[row * w * d..(row + 1) * w * d]
-                            .copy_from_slice(&scaled.data()[s * d..(s + w) * d]);
-                    }
-                    let batch = Tensor::from_vec(data, &[chunk.len(), w, d]);
-                    let mut tape = cae_autograd::Tape::new();
-                    let fwd = model.forward(&mut tape, store, &batch);
-                    out.extend_from_slice(tape.value(fwd.recon).data());
-                }
-                out
-            })
-            .collect()
     }
 }
 

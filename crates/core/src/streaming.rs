@@ -19,8 +19,8 @@ use std::collections::VecDeque;
 /// ring recycles each evicted observation's storage for the incoming one,
 /// the `(1, w, dim)` window tensor is a pooled buffer reused across
 /// pushes (re-filled and re-scaled in place via
-/// [`cae_data::Scaler::apply_in_place`]), and all members run on one
-/// retained tape whose node storage cycles through the scratch pool.
+/// [`cae_data::Scaler::apply_in_place`]), and the members run the
+/// tape-free forward ([`crate::Cae::infer`]) on scratch-pool buffers.
 ///
 /// This scores one stream at a time, `B = 1` forwards per observation.
 /// To serve many concurrent streams against one loaded ensemble, use the
@@ -31,14 +31,12 @@ pub struct StreamingDetector<'a> {
     buffer: VecDeque<Vec<f32>>,
     /// Reused `(1, w, dim)` window tensor.
     window_buf: Tensor,
-    /// Retained tape shared across pushes (and across members per push).
-    tape: Tape,
     /// Reused one-score output buffer.
     score_buf: Vec<f32>,
 }
 
 impl std::fmt::Debug for StreamingDetector<'_> {
-    /// Fill level only — the ensemble and tape summarize poorly.
+    /// Fill level only — the ensemble summarizes poorly.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingDetector")
             .field("buffered", &self.buffer.len())
@@ -58,7 +56,6 @@ impl<'a> StreamingDetector<'a> {
             ensemble,
             buffer: VecDeque::with_capacity(w),
             window_buf: Tensor::zeros_pooled(&[1, w, dim]),
-            tape: Tape::new(),
             score_buf: Vec::with_capacity(1),
         }
     }
@@ -117,7 +114,7 @@ impl<'a> StreamingDetector<'a> {
         // serving path at batch size 1.
         self.score_buf.clear();
         self.ensemble.score_scaled_windows_into(
-            &mut self.tape,
+            &mut Tape::new(),
             &self.window_buf,
             &mut self.score_buf,
         );

@@ -1,6 +1,7 @@
 //! The activation alphabet shared by all models.
 
 use cae_autograd::{Tape, Var};
+use cae_tensor::simd;
 use serde::{Deserialize, Serialize};
 
 /// Non-linearity applied by a layer.
@@ -30,6 +31,17 @@ impl Activation {
             Activation::Relu => tape.relu(x),
             Activation::Tanh => tape.tanh(x),
             Activation::Sigmoid => tape.sigmoid(x),
+        }
+    }
+
+    /// Applies the activation to a buffer in place — elementwise
+    /// bit-identical to [`Activation::apply`].
+    pub fn apply_in_place(self, x: &mut [f32]) {
+        match self {
+            Activation::Identity => {}
+            Activation::Relu => simd::relu_in_place(x),
+            Activation::Tanh => simd::tanh_in_place(x),
+            Activation::Sigmoid => simd::sigmoid_in_place(x),
         }
     }
 }

@@ -87,6 +87,16 @@ impl Conv1dLayer {
         self.kernel_size
     }
 
+    /// Zero-padding scheme.
+    pub fn padding(&self) -> Padding {
+        self.padding
+    }
+
+    /// The `(out, in, k)` kernel and the length-`out` bias in `store`.
+    pub fn params<'s>(&self, store: &'s ParamStore) -> (&'s Tensor, &'s Tensor) {
+        (store.value(self.kernel), store.value(self.bias))
+    }
+
     /// Applies the convolution. `x` must be `(B, in_channels, L)`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         assert_eq!(
@@ -168,6 +178,16 @@ impl GluConv1d {
                 init,
             ),
         }
+    }
+
+    /// The value convolution `W₁ ⊗ E + b₁`.
+    pub fn value_conv(&self) -> &Conv1dLayer {
+        &self.value_conv
+    }
+
+    /// The gate convolution `σ(W₂ ⊗ E + b₂)`.
+    pub fn gate_conv(&self) -> &Conv1dLayer {
+        &self.gate_conv
     }
 
     /// Applies the gated block on `(B, C, L)` data.

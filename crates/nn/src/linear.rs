@@ -76,6 +76,11 @@ impl Linear {
         self.out_features
     }
 
+    /// The `(in, out)` weight and the length-`out` bias in `store`.
+    pub fn params<'s>(&self, store: &'s ParamStore) -> (&'s Tensor, &'s Tensor) {
+        (store.value(self.weight), store.value(self.bias))
+    }
+
     /// Applies the layer. `x` must have last dimension `in_features`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
         let dims = tape.value(x).dims().to_vec();

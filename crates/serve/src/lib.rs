@@ -373,7 +373,8 @@ impl ServeObs {
 /// pooled `(B, w, D)` tensors (`B ≤` [`FLEET_BATCH`]) and runs all
 /// ensemble members at full batch width. Ticks are allocation-free at
 /// steady state: ring storage is retained per stream, batch buffers come
-/// from the thread-local scratch pool, and the tape is reused.
+/// from the thread-local scratch pool, as do the tape-free forward's
+/// activations.
 ///
 /// The serving model is [swappable](FleetDetector::swap_ensemble): the
 /// fleet owns an [`Arc<CaeEnsemble>`] pair — the live model and the most
@@ -398,7 +399,6 @@ pub struct FleetDetector {
     free: Vec<usize>,
     next_generation: u64,
     active: usize,
-    tape: Tape,
     /// Ready slot indices gathered per tick (retained).
     ready: Vec<usize>,
     /// Per-chunk score output (retained).
@@ -488,7 +488,6 @@ impl FleetDetector {
             free: Vec::new(),
             next_generation: 0,
             active: 0,
-            tape: Tape::new(),
             ready: Vec::new(),
             scores: Vec::new(),
             health_cfg: health,
@@ -824,7 +823,7 @@ impl FleetDetector {
             let batch = Tensor::from_vec(data, &[chunk.len(), window, dim]);
             scores.clear();
             self.ensemble
-                .score_scaled_windows_into(&mut self.tape, &batch, &mut scores);
+                .score_scaled_windows_into(&mut Tape::new(), &batch, &mut scores);
             batch.recycle();
             for (k, &i) in chunk.iter().enumerate() {
                 let score = scores[k];

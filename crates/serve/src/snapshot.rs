@@ -62,7 +62,6 @@
 //! `snapshot.write` failpoint.
 
 use crate::{FleetDetector, HealthConfig, StreamHealth, StreamId, StreamSlot};
-use cae_autograd::Tape;
 use cae_chaos as chaos;
 use cae_core::persist::wire::{self, Reader, Writer};
 use cae_core::{CaeEnsemble, PersistError};
@@ -602,7 +601,6 @@ impl FleetDetector {
             free: snapshot.free.clone(),
             next_generation: snapshot.next_generation,
             active,
-            tape: Tape::new(),
             ready: Vec::new(),
             scores: Vec::new(),
             health_cfg: snapshot.health,

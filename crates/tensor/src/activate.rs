@@ -8,9 +8,10 @@
 
 use crate::{scratch, simd, Tensor};
 
-/// Builds the output tensor for a `dst/src` style dispatched kernel.
+/// Builds the output tensor for a `dst/src` style dispatched kernel,
+/// which overwrites every element (so the buffer is not zeroed first).
 fn unary(x: &Tensor, f: impl FnOnce(&mut [f32], &[f32])) -> Tensor {
-    let mut out = scratch::take_zeroed(x.len());
+    let mut out = scratch::take_full(x.len());
     f(&mut out, x.data());
     Tensor::from_vec(out, x.dims())
 }

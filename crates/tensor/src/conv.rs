@@ -171,6 +171,83 @@ fn kernel_grad_row(gw_row: &mut [f32], g_row: &[f32], x_row: &[f32], pl: usize) 
     }
 }
 
+/// Convolution of `x` `(B, C_in, L)` with several same-shape kernels
+/// `(C_out, C_in, K)`, stacked along the output channels: per batch
+/// element, rows `i·C_out ..` of `out` `(B, n·C_out, L)` hold
+/// `kernels[i] ⊗ x`.
+///
+/// Every output element is computed exactly as [`Tensor::conv1d`] with
+/// that kernel alone computes it: the packed-or-scalar decision is taken
+/// on one kernel's madd count `C_out·C_in·K·L`, and the packed arm runs
+/// all kernels as **one** GEMM of `n·C_out` rows (a GLU's value and gate
+/// convolutions in a single pass) whose per-row accumulation is
+/// unchanged. `out` needs no initialization.
+pub fn conv1d_into(
+    x: &[f32],
+    batches: usize,
+    len: usize,
+    kernels: &[&Tensor],
+    padding: Padding,
+    out: &mut [f32],
+) {
+    let first = kernels.first().expect("conv1d needs a kernel");
+    assert_eq!(
+        first.rank(),
+        3,
+        "conv1d kernel must be rank 3 (Cout, Cin, K)"
+    );
+    let (cout, cin, k) = (first.dims()[0], first.dims()[1], first.dims()[2]);
+    assert!(
+        kernels.iter().all(|w| w.dims() == first.dims()),
+        "stacked conv1d kernels must share one shape"
+    );
+    assert!(k >= 1, "conv1d kernel size must be >= 1");
+    let l = len;
+    assert_eq!(x.len(), batches * cin * l, "conv1d input length");
+    assert_eq!(
+        out.len(),
+        batches * kernels.len() * cout * l,
+        "conv1d output length"
+    );
+    if out.is_empty() {
+        return;
+    }
+    let pl = padding.left(k);
+    let rows_out = kernels.len() * cout;
+    #[cfg(target_arch = "x86_64")]
+    if gemm::enabled(cout * cin * k * l) {
+        // The packed path *stores* every output element (no
+        // accumulation), so the buffer needs no zeroing.
+        gemm::conv_batch(
+            x,
+            &gemm::AStacked {
+                parts: kernels,
+                rows: cout,
+            },
+            out,
+            &gemm::ConvShape {
+                batches,
+                rows_in: cin,
+                rows_out,
+                k,
+                l,
+                pl,
+            },
+        );
+        return;
+    }
+    // One GEMM per batch element and kernel; the kernel's (co, ci, j)
+    // layout already matches the X̃ row order (ci, j).
+    out.fill(0.0);
+    par::for_each_chunk(out, rows_out * l, |bi, y| {
+        let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
+        for (w, yk) in kernels.iter().zip(y.chunks_exact_mut(cout * l)) {
+            conv_gemm(yk, w.data(), &xpad, cout, cin, k, l);
+        }
+        scratch::recycle(xpad);
+    });
+}
+
 impl Tensor {
     /// 1-D convolution: input `(B, C_in, L)`, kernel `(C_out, C_in, K)` →
     /// output `(B, C_out, L)`.
@@ -182,48 +259,14 @@ impl Tensor {
             "conv1d kernel must be rank 3 (Cout, Cin, K)"
         );
         let (b, cin, l) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (cout, cin2, k) = (kernel.dims()[0], kernel.dims()[1], kernel.dims()[2]);
+        let (cout, cin2) = (kernel.dims()[0], kernel.dims()[1]);
         assert_eq!(
             cin, cin2,
             "conv1d channel mismatch: input {cin}, kernel {cin2}"
         );
-        assert!(k >= 1, "conv1d kernel size must be >= 1");
-        let pl = padding.left(k);
-
-        if l > 0 {
-            let x = self.data();
-            let w = kernel.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(cout * cin * k * l) {
-                // The packed path *stores* every output element (no
-                // accumulation), so the buffer needs no zeroing.
-                let mut out = scratch::take_full(b * cout * l);
-                gemm::conv_batch(
-                    x,
-                    w,
-                    &mut out,
-                    &gemm::ConvShape {
-                        batches: b,
-                        rows_in: cin,
-                        rows_out: cout,
-                        k,
-                        l,
-                        pl,
-                    },
-                );
-                return Tensor::from_vec(out, &[b, cout, l]);
-            }
-            // One GEMM per batch element; the kernel's (co, ci, j) layout
-            // already matches the X̃ row order (ci, j).
-            let mut out = scratch::take_zeroed(b * cout * l);
-            par::for_each_chunk(&mut out, cout * l, |bi, y| {
-                let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-                conv_gemm(y, w, &xpad, cout, cin, k, l);
-                scratch::recycle(xpad);
-            });
-            return Tensor::from_vec(out, &[b, cout, l]);
-        }
-        Tensor::from_vec(scratch::take_zeroed(b * cout * l), &[b, cout, l])
+        let mut out = scratch::take_full(b * cout * l);
+        conv1d_into(self.data(), b, l, &[kernel], padding, &mut out);
+        Tensor::from_vec(out, &[b, cout, l])
     }
 
     /// Gradient of [`Tensor::conv1d`] with respect to its **input**.
@@ -261,7 +304,10 @@ impl Tensor {
                 let mut gx = scratch::take_full(b * cin * l);
                 gemm::conv_batch(
                     g,
-                    wt_ref,
+                    &gemm::ARows {
+                        data: wt_ref,
+                        ld: cout * k,
+                    },
                     &mut gx,
                     &gemm::ConvShape {
                         batches: b,

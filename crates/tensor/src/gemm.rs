@@ -42,7 +42,7 @@
 //! [`crate::matmul`] and [`crate::conv`] remain the other dispatch arm.
 
 use crate::par::SyncMutPtr;
-use crate::{par, scratch, simd};
+use crate::{par, scratch, simd, Tensor};
 use core::arch::x86_64::*;
 
 /// Microkernel tile height (rows of A per block).
@@ -116,6 +116,29 @@ impl APanelSrc for ARows<'_> {
         }
         for r in 0..h {
             dst[r * kc..][..kc].copy_from_slice(&self.data[(i0 + r) * self.ld + k0..][..kc]);
+        }
+    }
+}
+
+/// Row-stacked A: logical row `i` is row `i % rows` of the row-major
+/// matrix `parts[i / rows]` (all parts share one shape). Packs several
+/// weight tensors as one operand without concatenating them — a GLU's
+/// value and gate kernels become one 2C-row convolution GEMM.
+pub(crate) struct AStacked<'a> {
+    pub parts: &'a [&'a Tensor],
+    pub rows: usize,
+}
+
+impl APanelSrc for AStacked<'_> {
+    fn pack_block(&self, k0: usize, kc: usize, i0: usize, h: usize, dst: &mut [f32]) {
+        if h < MR {
+            dst[h * kc..MR * kc].fill(0.0);
+        }
+        for r in 0..h {
+            let (part, row) = ((i0 + r) / self.rows, (i0 + r) % self.rows);
+            let data = self.parts[part].data();
+            let ld = data.len() / self.rows;
+            dst[r * kc..][..kc].copy_from_slice(&data[row * ld + k0..][..kc]);
         }
     }
 }
@@ -602,16 +625,16 @@ impl ConvShape {
 
 /// Batched implicit-im2col convolution forward (also the input gradient,
 /// with a reordered weight matrix and mirrored padding):
-/// `out[bi] (rows_out × l) = W (rows_out × rows_in·k) · X̃[bi]`.
+/// `out[bi] (rows_out × l) = W (rows_out × rows_in·k) · X̃[bi]`, where
+/// `a` views W (`rows_out` rows of depth `rows_in·k`).
 ///
 /// The weight matrix is packed **once** and shared across the batch;
 /// each batch element pads its input rows and packs its own B panels in
 /// worker-local scratch.
-pub(crate) fn conv_batch(x: &[f32], wmat: &[f32], out: &mut [f32], s: &ConvShape) {
+pub(crate) fn conv_batch<A: APanelSrc>(x: &[f32], a: &A, out: &mut [f32], s: &ConvShape) {
     let depth = s.rows_in * s.k;
     let (l, stride) = (s.l, s.stride());
     debug_assert_eq!(out.len(), s.batches * s.rows_out * l);
-    debug_assert_eq!(wmat.len(), s.rows_out * depth);
     if l == 0 || out.is_empty() {
         return;
     }
@@ -619,10 +642,6 @@ pub(crate) fn conv_batch(x: &[f32], wmat: &[f32], out: &mut [f32], s: &ConvShape
     // Pack all row blocks of W up front: block ib holds depth-major
     // MR-wide slices of rows ib*MR ..
     let nblocks = s.rows_out.div_ceil(MR);
-    let a = ARows {
-        data: wmat,
-        ld: depth,
-    };
     // Fully packed before use — unspecified initial contents are fine.
     let mut pw = scratch::take_full(nblocks * depth * MR);
     for ib in 0..nblocks {

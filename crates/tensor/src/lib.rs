@@ -63,6 +63,7 @@ mod activate;
 mod conv;
 #[cfg(target_arch = "x86_64")]
 mod gemm;
+pub mod infer;
 mod init;
 mod matmul;
 pub mod obs;
@@ -74,7 +75,6 @@ pub mod simd;
 mod tensor;
 
 pub use conv::Padding;
-pub use reduce::sq_dist;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

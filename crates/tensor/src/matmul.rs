@@ -42,20 +42,8 @@ impl Tensor {
         let (m, k) = (self.dims()[0], self.dims()[1]);
         let (k2, n) = (other.dims()[0], other.dims()[1]);
         assert_eq!(k, k2, "matmul inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(m * n);
-        if n > 0 {
-            let lhs = self.data();
-            let rhs = other.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(m * k * n) {
-                gemm::matmul_nn(lhs, rhs, &mut out, m, k, n);
-                return Tensor::from_vec(out, &[m, n]);
-            }
-            // Row-parallel: each chunk is one output row.
-            par::for_each_chunk(&mut out, n, |i, orow| {
-                matmul_into(&lhs[i * k..(i + 1) * k], rhs, orow, 1, k, n);
-            });
-        }
+        let mut out = scratch::take_full(m * n);
+        crate::infer::matmul_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -250,7 +238,7 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// over the output row folds in four rows of `B` with independent FMAs.
 /// The inner loop is a branch-free zip over five equal-length slices —
 /// bounds checks are elided and the loop vectorizes.
-fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -283,7 +271,7 @@ fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
 ///
 /// Same 4-way `k` blocking as [`matmul_into`], reading four rows of `A`
 /// and `B` per pass.
-fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+pub(crate) fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);

@@ -103,21 +103,6 @@ impl Tensor {
     }
 }
 
-/// Squared L2 distance `‖a − b‖²` between two equal-length slices.
-///
-/// Exactly the single-row form of `a.sub(b)` followed by
-/// [`Tensor::row_sq_norms`]: the difference is materialized (into pooled
-/// scratch) and summed by the same kernel, so callers that replace a full
-/// difference tensor + per-row norms with one row stay **bit-exact**.
-pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "sq_dist length mismatch");
-    let mut diff = scratch::take(a.len());
-    diff.extend(a.iter().zip(b).map(|(x, y)| x - y));
-    let out = simd::sq_sum(&diff);
-    scratch::recycle(diff);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{assert_close, Tensor};

@@ -25,7 +25,10 @@
 //! # Determinism contract
 //!
 //! Within one dispatch path results are deterministic and independent of
-//! the worker-thread count (see `tests/determinism.rs`). *Across* paths
+//! the worker-thread count (see `tests/determinism.rs`). Elementwise
+//! results are also independent of an element's position in its slice:
+//! the 8-lane kernels evaluate the `len % 8` tail through the same lane
+//! code, so a value computes identically in any batch row or layout. *Across* paths
 //! results differ in the last bits — the AVX2 kernels use 8-lane partial
 //! accumulators and fused multiply-adds, and the transcendental kernels
 //! use a polynomial `exp` — but agree to ≤1e-4 relative tolerance
@@ -152,10 +155,20 @@ macro_rules! dispatch_ret {
 
 /// `dst[i] = max(src[i], 0)`.
 pub(crate) fn relu(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    dispatch!(relu(dst, src));
+    assert_eq!(dst.len(), src.len(), "relu length mismatch");
+    dispatch!(relu(dst.as_mut_ptr(), src.as_ptr(), src.len()));
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = x.max(0.0);
+    }
+}
+
+/// `x[i] = max(x[i], 0)` in place — elementwise identical to
+/// [`Tensor::relu`](crate::Tensor::relu).
+pub fn relu_in_place(x: &mut [f32]) {
+    let (p, n) = (x.as_mut_ptr(), x.len());
+    dispatch!(relu(p, p, n));
+    for v in x.iter_mut() {
+        *v = v.max(0.0);
     }
 }
 
@@ -181,19 +194,39 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 
 /// `dst[i] = sigmoid(src[i])`.
 pub(crate) fn sigmoid(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    dispatch!(sigmoid(dst, src));
+    assert_eq!(dst.len(), src.len(), "sigmoid length mismatch");
+    dispatch!(sigmoid(dst.as_mut_ptr(), src.as_ptr(), src.len()));
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = sigmoid_scalar(x);
     }
 }
 
+/// `x[i] = sigmoid(x[i])` in place — elementwise identical to
+/// [`Tensor::sigmoid`](crate::Tensor::sigmoid).
+pub fn sigmoid_in_place(x: &mut [f32]) {
+    let (p, n) = (x.as_mut_ptr(), x.len());
+    dispatch!(sigmoid(p, p, n));
+    for v in x.iter_mut() {
+        *v = sigmoid_scalar(*v);
+    }
+}
+
 /// `dst[i] = tanh(src[i])`.
 pub(crate) fn tanh(dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    dispatch!(tanh(dst, src));
+    assert_eq!(dst.len(), src.len(), "tanh length mismatch");
+    dispatch!(tanh(dst.as_mut_ptr(), src.as_ptr(), src.len()));
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = x.tanh();
+    }
+}
+
+/// `x[i] = tanh(x[i])` in place — elementwise identical to
+/// [`Tensor::tanh`](crate::Tensor::tanh).
+pub fn tanh_in_place(x: &mut [f32]) {
+    let (p, n) = (x.as_mut_ptr(), x.len());
+    dispatch!(tanh(p, p, n));
+    for v in x.iter_mut() {
+        *v = v.tanh();
     }
 }
 
@@ -234,7 +267,7 @@ pub(crate) fn sum(x: &[f32]) -> f32 {
 }
 
 /// Sum of squares.
-pub(crate) fn sq_sum(x: &[f32]) -> f32 {
+pub fn sq_sum(x: &[f32]) -> f32 {
     dispatch_ret!(sq_sum(x));
     x.iter().map(|&v| v * v).sum()
 }
@@ -286,7 +319,7 @@ pub(crate) fn scale_in_place(x: &mut [f32], scale: f32) {
 
 /// One softmax row, in place: subtract the row max, exponentiate,
 /// normalize to sum 1. The row must be non-empty.
-pub(crate) fn softmax_row(row: &mut [f32]) {
+pub fn softmax_row(row: &mut [f32]) {
     dispatch!(softmax_row(row));
     let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut s = 0.0;
@@ -323,30 +356,49 @@ mod avx2 {
         };
     }
 
+    /// Maps `len` floats from `src` to `dst` through one 8-lane
+    /// operation. The `len % 8` tail runs through the same operation on a
+    /// zero-padded stack block, so every element's result is independent
+    /// of its position in the slice (a window scores the same in every
+    /// batch row). `src` and `dst` may be the same buffer: each block is
+    /// loaded before it is stored.
+    macro_rules! map_lanes {
+        ($dst:expr, $src:expr, $len:expr, |$v:ident| $op:expr) => {{
+            let (dst, src, len): (*mut f32, *const f32, usize) = ($dst, $src, $len);
+            let mut i = 0usize;
+            while i + 8 <= len {
+                // SAFETY: `i + 8 <= len` and both pointers are valid for
+                // `len` floats (caller contract).
+                unsafe {
+                    let $v = _mm256_loadu_ps(src.add(i));
+                    _mm256_storeu_ps(dst.add(i), $op);
+                }
+                i += 8;
+            }
+            if i < len {
+                let mut block = [0.0f32; 8];
+                // SAFETY: `len - i < 8` floats are read from `src + i` and
+                // written to `dst + i`, both in bounds (caller contract);
+                // the stack block holds exactly 8 floats.
+                unsafe {
+                    core::ptr::copy_nonoverlapping(src.add(i), block.as_mut_ptr(), len - i);
+                    let $v = _mm256_loadu_ps(block.as_ptr());
+                    _mm256_storeu_ps(block.as_mut_ptr(), $op);
+                    core::ptr::copy_nonoverlapping(block.as_ptr(), dst.add(i), len - i);
+                }
+            }
+        }};
+    }
+
     /// # Safety
     ///
     /// AVX2+FMA must be runtime-verified (the dispatch macros do), and
-    /// `dst.len() >= src.len()`.
+    /// `dst` and `src` must be valid for `len` floats (they may alias
+    /// exactly).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn relu(dst: &mut [f32], src: &[f32]) {
-        debug_assert!(dst.len() >= src.len());
+    pub(super) unsafe fn relu(dst: *mut f32, src: *const f32, len: usize) {
         let zero = _mm256_setzero_ps();
-        lanes!(
-            src.len(),
-            i,
-            {
-                // SAFETY: `i + 8 <= src.len() <= dst.len()` per the
-                // lanes! loop bound and the length contract.
-                unsafe {
-                    let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_max_ps(v, zero));
-                }
-            },
-            t,
-            {
-                dst[t] = src[t].max(0.0);
-            }
-        );
+        map_lanes!(dst, src, len, |v| _mm256_max_ps(v, zero));
     }
 
     /// # Safety
@@ -455,54 +507,27 @@ mod avx2 {
 
     /// # Safety
     ///
-    /// AVX2+FMA must be runtime-verified, and `dst.len() >= src.len()`.
+    /// AVX2+FMA must be runtime-verified, and `dst` and `src` must be
+    /// valid for `len` floats (they may alias exactly).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn sigmoid(dst: &mut [f32], src: &[f32]) {
-        debug_assert!(dst.len() >= src.len());
-        lanes!(
-            src.len(),
-            i,
-            {
-                // SAFETY: `i + 8 <= src.len() <= dst.len()` per the
-                // lanes! loop bound and the length contract.
-                unsafe {
-                    let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(i), sigmoid_ps(v));
-                }
-            },
-            t,
-            {
-                dst[t] = super::sigmoid_scalar(src[t]);
-            }
-        );
+    pub(super) unsafe fn sigmoid(dst: *mut f32, src: *const f32, len: usize) {
+        map_lanes!(dst, src, len, |v| sigmoid_ps(v));
     }
 
     /// # Safety
     ///
-    /// AVX2+FMA must be runtime-verified, and `dst.len() >= src.len()`.
+    /// AVX2+FMA must be runtime-verified, and `dst` and `src` must be
+    /// valid for `len` floats (they may alias exactly).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn tanh(dst: &mut [f32], src: &[f32]) {
-        debug_assert!(dst.len() >= src.len());
+    pub(super) unsafe fn tanh(dst: *mut f32, src: *const f32, len: usize) {
         // tanh(x) = 2·σ(2x) − 1
         let two = _mm256_set1_ps(2.0);
         let one = _mm256_set1_ps(1.0);
-        lanes!(
-            src.len(),
-            i,
-            {
-                // SAFETY: `i + 8 <= src.len() <= dst.len()` per the
-                // lanes! loop bound and the length contract.
-                unsafe {
-                    let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                    let s = sigmoid_ps(_mm256_mul_ps(v, two));
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_fmsub_ps(two, s, one));
-                }
-            },
-            t,
-            {
-                dst[t] = src[t].tanh();
-            }
-        );
+        map_lanes!(dst, src, len, |v| _mm256_fmsub_ps(
+            two,
+            sigmoid_ps(_mm256_mul_ps(v, two)),
+            one
+        ));
     }
 
     /// # Safety

@@ -268,7 +268,8 @@ impl Tensor {
             self.rank()
         );
         let (b, m, n) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let mut out = scratch::take_zeroed(b * m * n);
+        // Every element is written below.
+        let mut out = scratch::take_full(b * m * n);
         for bi in 0..b {
             let src = &self.data[bi * m * n..(bi + 1) * m * n];
             let dst = &mut out[bi * m * n..(bi + 1) * m * n];
