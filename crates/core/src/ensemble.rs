@@ -2,9 +2,9 @@
 
 use crate::config::{CaeConfig, EnsembleConfig};
 use crate::diversity;
-use crate::model::Cae;
+use crate::model::{Cae, Positions};
 use crate::persist::{self, FallbackExhausted, PersistError, RecoveredLoad};
-use crate::score::{median, median_scores, series_scores_from_window_errors};
+use crate::score::{median, median_scores};
 use cae_autograd::{transfer_fraction, ParamStore, Tape};
 use cae_data::{num_windows, Detector, Scaler, TimeSeries};
 use cae_nn::{Adam, Optimizer};
@@ -302,7 +302,9 @@ impl CaeEnsemble {
         let mut out = Vec::with_capacity(starts.len() * w * rd);
         for chunk in starts.chunks(INFERENCE_BATCH) {
             let batch = Self::gather_windows(series, chunk, w);
-            model.infer(store, &batch).recon_into(&mut out);
+            model
+                .infer(store, &batch, Positions::All)
+                .recon_into(&mut out);
             batch.recycle();
         }
         out
@@ -343,16 +345,32 @@ impl CaeEnsemble {
             scaled.len()
         );
         let n_win = num_windows(scaled.len(), w);
+        // Figure 10: window 0 scores all its positions, every later window
+        // its last one. Only the first chunk holds window 0, so only it
+        // runs an all-position forward; its other windows keep their last
+        // error.
         par::map_indexed(self.members.len(), |m| {
             let (model, store) = &self.members[m];
-            let mut errors = Vec::with_capacity(n_win * w);
+            let mut scores = Vec::with_capacity(n_win + w - 1);
             let starts: Vec<usize> = (0..n_win).collect();
-            for chunk in starts.chunks(INFERENCE_BATCH) {
+            for (i, chunk) in starts.chunks(INFERENCE_BATCH).enumerate() {
                 let batch = Self::gather_windows(&scaled, chunk, w);
-                model.infer(store, &batch).errors_into(&batch, &mut errors);
+                if i == 0 {
+                    let mut errors = scratch::take(chunk.len() * w);
+                    model
+                        .infer(store, &batch, Positions::All)
+                        .errors_into(&batch, &mut errors);
+                    scores.extend_from_slice(&errors[..w]);
+                    scores.extend(errors[w..].chunks_exact(w).map(|row| row[w - 1]));
+                    scratch::recycle(errors);
+                } else {
+                    model
+                        .infer(store, &batch, Positions::Last)
+                        .errors_into(&batch, &mut scores);
+                }
                 batch.recycle();
             }
-            series_scores_from_window_errors(&errors, n_win, w)
+            scores
         })
     }
 
@@ -375,8 +393,9 @@ impl CaeEnsemble {
     /// the fleet detector: every member runs on the whole batch, so with
     /// `B` pooled streams inference goes through the packed GEMM kernels
     /// instead of `B` batch-size-1 forwards. Members run the tape-free
-    /// [`Cae::infer`], the same forward as the batch scorer, so the two
-    /// agree bit for bit. `_tape` is unused; the parameter stays so
+    /// [`Cae::infer`] for [`Positions::Last`], which computes only the
+    /// last position's receptive field and is bit-identical to the batch
+    /// scorer's forward there. `_tape` is unused; the parameter stays so
     /// existing callers build unchanged.
     ///
     /// [`StreamingDetector`]: crate::StreamingDetector
@@ -391,7 +410,9 @@ impl CaeEnsemble {
         // Last-position error per (member, window), member-major.
         let mut last = scratch::take(m * b);
         for (model, store) in &self.members {
-            model.infer(store, batch).last_errors_into(batch, &mut last);
+            model
+                .infer(store, batch, Positions::Last)
+                .errors_into(batch, &mut last);
         }
         let mut column = scratch::take(m);
         out.reserve(b);
@@ -723,6 +744,7 @@ impl Detector for CaeEnsemble {
 mod tests {
     use super::*;
     use crate::config::ReconstructionTarget;
+    use crate::score::series_scores_from_window_errors;
 
     fn sine_series(len: usize, dim: usize) -> TimeSeries {
         let mut s = TimeSeries::empty(dim);
@@ -746,6 +768,36 @@ mod tests {
                 .train_stride(2)
                 .seed(17),
         )
+    }
+
+    /// `member_scores` runs its first chunk with all positions and the
+    /// rest with the last position only; its series must equal the
+    /// Figure 10 mapping of all-position errors of every window, bit for
+    /// bit, whichever way the windows split into inference chunks.
+    #[test]
+    fn member_scores_match_all_position_series_at_chunk_boundaries() {
+        let (mc, ec) = tiny_configs(2);
+        let mut ens = CaeEnsemble::new(mc, ec.num_models(2).epochs_per_model(1));
+        ens.fit(&sine_series(120, 2));
+        let w = ens.model_config().window;
+        for n_win in [1, 63, 64, 65, 129] {
+            let test = sine_series(n_win + w - 1, 2);
+            let scaled = ens.scale(&test);
+            let starts: Vec<usize> = (0..n_win).collect();
+            for (m, scores) in ens.member_scores(&test).iter().enumerate() {
+                let (model, store) = &ens.members[m];
+                let mut errors = Vec::new();
+                for chunk in starts.chunks(INFERENCE_BATCH) {
+                    let batch = CaeEnsemble::gather_windows(&scaled, chunk, w);
+                    model
+                        .infer(store, &batch, Positions::All)
+                        .errors_into(&batch, &mut errors);
+                }
+                let expected = series_scores_from_window_errors(&errors, n_win, w);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(scores), bits(&expected), "member {m}, {n_win} windows");
+            }
+        }
     }
 
     #[test]

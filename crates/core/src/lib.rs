@@ -67,7 +67,7 @@ mod streaming;
 pub use config::{CaeConfig, EnsembleConfig, ReconstructionTarget};
 pub use ensemble::{CaeEnsemble, RefitOptions};
 pub use hyper::{select_hyperparameters, HyperRanges, HyperSelection, TrialRecord};
-pub use model::{Cae, Inference};
+pub use model::{Cae, Inference, Positions};
 pub use persist::{FallbackExhausted, PersistError, RecoveredLoad};
 pub use repair::{repair_series, RepairReport};
 pub use streaming::StreamingDetector;

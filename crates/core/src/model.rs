@@ -19,19 +19,29 @@
 //!
 //! Two forwards compute this network. [`Cae::forward`] records it on an
 //! autograd [`Tape`] for training. [`Cae::infer`] is the scoring forward:
-//! no tape, activations kept channel-major `(B, C, w)` from the
+//! no tape, activations kept batch-folded `(C, B·T)` ([`Fold`]) from the
 //! embedding through the reconstruction head, each GLU's value and gate
-//! convolutions run as one stacked GEMM, biases, activations and residual
-//! adds applied in place on scratch-pool buffers, and weights borrowed
-//! from the [`ParamStore`]. Its outputs are bit-identical to the tape's
-//! (see [`cae_tensor::infer`] for the rules that keep them so).
+//! convolutions run as one stacked GEMM over all folded columns, biases,
+//! activations and residual adds applied in place on scratch-pool
+//! buffers, and weights borrowed from the [`ParamStore`].
+//!
+//! [`Cae::infer`] reconstructs the [`Positions`] its caller scores. For
+//! [`Positions::Last`] — the serving protocol of Figure 10 — the decoder,
+//! attention and head compute only the last position's receptive field:
+//! each causal convolution whose outputs start at `s` reads inputs from
+//! `max(0, s − (k − 1))`, while skip, injection and attention act per
+//! position. At the paper shape (w = 16, L = 2, k = 3) the decoder input
+//! keeps 11 columns per window and the head 1. The encoder always runs
+//! full width, because attention reads every encoder state. Its outputs
+//! are bit-identical to the tape's at every position computed (see
+//! [`cae_tensor::infer`] for the rules that keep them so).
 
 use crate::config::{CaeConfig, ReconstructionTarget};
 use cae_autograd::{ParamStore, Tape, Var};
 use cae_nn::{Activation, Conv1dLayer, GluConv1d, Initializer, Linear, XavierInit, ZerosInit};
-use cae_tensor::{infer, scratch, simd, Padding, Tensor};
+use cae_tensor::infer::{self, Fold};
+use cae_tensor::{scratch, simd, Padding, Tensor};
 use rand::Rng;
-use std::ops::Range;
 
 /// One basic model of the ensemble: the convolutional seq2seq autoencoder.
 ///
@@ -332,114 +342,142 @@ impl Cae {
     }
 
     /// Runs the autoencoder on a batch of windows `(B, w, D)` without a
-    /// tape — the scoring forward (see the module docs). The embedding
-    /// and reconstruction it returns are bit-identical to
-    /// [`Cae::forward`]'s on the same batch, on either dispatch path.
-    pub fn infer(&self, store: &ParamStore, batch: &Tensor) -> Inference {
+    /// tape — the scoring forward (see the module docs) — computing the
+    /// reconstruction at `positions` of every window. The embedding and
+    /// reconstruction it returns are bit-identical to [`Cae::forward`]'s
+    /// on the same batch, on either dispatch path.
+    pub fn infer(&self, store: &ParamStore, batch: &Tensor, positions: Positions) -> Inference {
         self.check_batch(batch);
         let cfg = &self.cfg;
-        let (b, w, c) = (batch.dims()[0], cfg.window, cfg.embed_dim);
-        let n = b * c * w;
-        let x = self.embed_channel_major(store, batch);
-        let mut glu = scratch::take_full(n);
-        let mut pair = scratch::take_full(2 * n);
+        let (w, c, k, layers) = (cfg.window, cfg.embed_dim, cfg.kernel_size, cfg.layers);
+        let full = Fold::full(batch.dims()[0], w);
+        let x = self.embed_folded(store, batch);
 
-        // --- Encoder (Eq. 3–5): E^{l+1} = f_E(W_E ⊗ GLU(E^l) + b_E) + E^l.
-        // All L states in one buffer; the decoder and attention read them.
-        let mut states = scratch::take_full(cfg.layers * n);
-        for l in 0..cfg.layers {
+        // --- Encoder (Eq. 3–5): E^{l+1} = f_E(W_E ⊗ GLU(E^l) + b_E) + E^l,
+        // at every position: attention reads all encoder states. All L
+        // states in one buffer; the decoder and attention read them.
+        let n = c * full.cols();
+        let mut states = scratch::take_full(layers * n);
+        for l in 0..layers {
             let (done, rest) = states.split_at_mut(l * n);
             let input = if l == 0 { &x[..] } else { &done[(l - 1) * n..] };
             let e = &mut rest[..n];
-            glu_into(&self.enc_glu[l], store, input, b, w, &mut pair, &mut glu);
-            conv_into(&self.enc_conv[l], store, &glu, b, w, e);
+            let glu = glu_into(&self.enc_glu[l], store, input, full, 0);
+            conv_into(&self.enc_conv[l], store, &glu, full, 0, e);
+            scratch::recycle(glu);
             cfg.conv_activation.apply_in_place(e);
             add_assign(e, input);
         }
 
-        // --- Decoder input: the embedding shifted one step right.
-        let mut dec = scratch::take_full(n);
-        for (d, xs) in dec.chunks_exact_mut(w).zip(x.chunks_exact(w)) {
-            d[0] = 0.0;
-            d[1..].copy_from_slice(&xs[..w - 1]);
-        }
-
-        // --- Decoder (Eq. 6) + attention (Eq. 7).
-        let mut next = scratch::take_full(n);
-        let (mut z, mut alpha) = if cfg.attention {
-            (scratch::take_full(n), scratch::take_full(b * w * w))
-        } else {
-            (Vec::new(), Vec::new())
+        // --- Receptive-field schedule. The head computes positions from
+        // `head` on; each causal conv below it needs k − 1 more on the
+        // left, skip, injection and attention none. `reach(h)` is the
+        // first position needed h convs below the head: the recon GLU's
+        // output is reach(0), D^L reach(1), and decoder layer l's output
+        // D^{l+1}, GLU output and input D^l are reach(2(L−l)−1),
+        // reach(2(L−l)) and reach(2(L−l)+1).
+        let head = match positions {
+            Positions::All => 0,
+            Positions::Last => w - 1,
         };
-        for l in 0..cfg.layers {
-            let enc = &states[l * n..(l + 1) * n];
-            glu_into(&self.dec_glu[l], store, &dec, b, w, &mut pair, &mut glu);
-            conv_into(&self.dec_conv[l], store, &glu, b, w, &mut next);
-            add_assign(&mut next, enc);
-            cfg.conv_activation.apply_in_place(&mut next);
-            add_assign(&mut next, &dec);
-            std::mem::swap(&mut dec, &mut next);
+        let reach = |hops: usize| full.from(head.saturating_sub(hops * (k - 1)));
 
-            if cfg.attention {
-                // z = W_z d + b_z (a 1×1 channel map), α = softmax(zᵀE),
-                // D += E αᵀ.
-                let (wz, bz) = self.attn_summary[l].params(store);
-                infer::channel_linear_into(&dec, b, w, wz, &mut z);
-                add_channel_bias(&mut z, bz.data(), w);
-                infer::attention_scores_into(&z, enc, b, c, w, &mut alpha);
-                for row in alpha.chunks_exact_mut(w) {
-                    simd::softmax_row(row);
-                }
-                infer::attention_context_into(enc, &alpha, b, c, w, &mut next);
-                add_assign(&mut dec, &next);
+        // --- Decoder input: the embedding shifted one step right.
+        let mut fold = reach(2 * layers + 1);
+        let mut dec = scratch::take_full(c * fold.cols());
+        for (d, xw) in dec.chunks_exact_mut(fold.width()).zip(x.chunks_exact(w)) {
+            for (t, v) in (fold.start..w).zip(d) {
+                *v = if t == 0 { 0.0 } else { xw[t - 1] };
             }
         }
 
-        // --- Reconstruction (Sec. 3.1.5).
-        glu_into(&self.recon_glu, store, &dec, b, w, &mut pair, &mut glu);
-        let mut recon = scratch::take_full(b * cfg.recon_dim() * w);
-        conv_into(&self.recon_conv, store, &glu, b, w, &mut recon);
-        cfg.recon_activation.apply_in_place(&mut recon);
+        // --- Decoder (Eq. 6) + attention (Eq. 7).
+        for l in 0..layers {
+            let enc = &states[l * n..(l + 1) * n];
+            // The GLU's outputs start at `mid`, the conv's at `out`.
+            let (mid, out) = (reach(2 * (layers - l)), reach(2 * (layers - l) - 1));
+            let glu = glu_into(&self.dec_glu[l], store, &dec, fold, mid.start);
+            let mut next = scratch::take_full(c * out.cols());
+            conv_into(&self.dec_conv[l], store, &glu, mid, out.start, &mut next);
+            scratch::recycle(glu);
+            add_folded(&mut next, out, enc, full);
+            cfg.conv_activation.apply_in_place(&mut next);
+            add_folded(&mut next, out, &dec, fold);
+            scratch::recycle(std::mem::replace(&mut dec, next));
+            fold = out;
 
-        for buf in [glu, pair, states, dec, next, z, alpha] {
+            if cfg.attention {
+                // z = W_z d + b_z (a 1×1 channel map), α = softmax(zᵀE),
+                // D += E αᵀ — per decoder position, against all w keys.
+                let (wz, bz) = self.attn_summary[l].params(store);
+                let mut z = scratch::take_full(dec.len());
+                infer::channel_linear_into(&dec, fold, wz, &mut z);
+                add_channel_bias(&mut z, bz.data(), fold.cols());
+                let mut alpha = scratch::take_full(fold.cols() * w);
+                infer::attention_scores_into(&z, enc, fold, c, &mut alpha);
+                for row in alpha.chunks_exact_mut(w) {
+                    simd::softmax_row(row);
+                }
+                // `z` is spent; its buffer takes the context.
+                infer::attention_context_into(enc, &alpha, fold, c, &mut z);
+                add_assign(&mut dec, &z);
+                scratch::recycle(z);
+                scratch::recycle(alpha);
+            }
+        }
+
+        // --- Reconstruction (Sec. 3.1.5), at positions `head ..` only.
+        let out = reach(0);
+        let glu = glu_into(&self.recon_glu, store, &dec, fold, out.start);
+        let mut recon = scratch::take_full(cfg.recon_dim() * out.cols());
+        conv_into(&self.recon_conv, store, &glu, out, out.start, &mut recon);
+        cfg.recon_activation.apply_in_place(&mut recon);
+        for buf in [glu, states, dec] {
             scratch::recycle(buf);
         }
         Inference {
             embedded: x,
             recon,
-            batches: b,
-            window: w,
+            fold: out,
             recon_dim: cfg.recon_dim(),
             target: cfg.target,
         }
     }
 
-    /// The embedding `X = V + P` of a `(B, w, D)` batch, channel-major
-    /// `(B, D′, w)` in a scratch buffer. The affine maps run time-major
-    /// as in [`Cae::embed`]; the sum is written transposed — the one
-    /// transpose of [`Cae::infer`].
-    fn embed_channel_major(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
-        let (b, w, d, c) = (
-            batch.dims()[0],
-            self.cfg.window,
-            self.cfg.dim,
-            self.cfg.embed_dim,
-        );
-        let v = self.affine_time_major(&self.obs_embed, store, batch.data(), b * w, d);
-        let pos = self.position_input();
-        let p = self.affine_time_major(&self.pos_embed, store, pos.data(), w, 1);
-        pos.recycle();
-        let mut x = scratch::take_full(b * c * w);
-        for (bi, xb) in x.chunks_exact_mut(c * w).enumerate() {
-            for t in 0..w {
-                let vr = &v[(bi * w + t) * c..][..c];
-                let pr = &p[t * c..][..c];
-                for (ch, (&vv, &pv)) in vr.iter().zip(pr).enumerate() {
-                    xb[ch * w + t] = vv + pv;
+    /// The embedding `X = V + P` of a `(B, w, D)` batch, batch-folded
+    /// `(D′, B·w)` in a scratch buffer. The observation map runs as a
+    /// 1×1 channel map of the transposed batch — the one transpose of
+    /// [`Cae::infer`] — and the position map time-major, as in
+    /// [`Cae::embed`].
+    fn embed_folded(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
+        let (w, d, c) = (self.cfg.window, self.cfg.dim, self.cfg.embed_dim);
+        let full = Fold::full(batch.dims()[0], w);
+        let cols = full.cols();
+        let mut raw = scratch::take_full(d * cols);
+        for (tile, obs) in batch.data().chunks(TILE * d).enumerate() {
+            for (ch, row) in raw.chunks_exact_mut(cols).enumerate() {
+                for (r, o) in row[tile * TILE..].iter_mut().zip(obs.chunks_exact(d)) {
+                    *r = o[ch];
                 }
             }
         }
-        scratch::recycle(v);
+        let (weight, bias) = self.obs_embed.params(store);
+        let mut x = scratch::take_full(c * cols);
+        infer::channel_linear_into(&raw, full, weight, &mut x);
+        scratch::recycle(raw);
+        add_channel_bias(&mut x, bias.data(), cols);
+        self.cfg.embed_activation.apply_in_place(&mut x);
+
+        let pos = self.position_input();
+        let p = self.affine_time_major(&self.pos_embed, store, pos.data(), w, 1);
+        pos.recycle();
+        for (ch, row) in x.chunks_exact_mut(cols).enumerate() {
+            for xw in row.chunks_exact_mut(w) {
+                for (t, v) in xw.iter_mut().enumerate() {
+                    *v += p[t * c + ch];
+                }
+            }
+        }
         scratch::recycle(p);
         x
     }
@@ -466,61 +504,88 @@ impl Cae {
     }
 }
 
-/// `GLU(x) = (W₁ ⊗ x + b₁) ⊙ σ(W₂ ⊗ x + b₂)` of a channel-major batch
-/// into `out`. Both convolutions run as one stacked GEMM into `pair`
-/// (`2·len(out)`): per batch element the value rows, then the gate rows.
+/// Columns per tile of the transposing loops over folded buffers, whose
+/// channel rows may lie a power of two apart: a tile's lines stay cached
+/// while each row is visited.
+const TILE: usize = 16;
+
+/// Which positions of every window [`Cae::infer`] reconstructs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Positions {
+    /// Every position `0 .. w` — reconstruction and all-position errors.
+    All,
+    /// The last position only: what the serving paths score (Figure 10).
+    /// The decoder and head compute just its receptive field.
+    Last,
+}
+
+/// `GLU(x) = (W₁ ⊗ x + b₁) ⊙ σ(W₂ ⊗ x + b₂)` of a batch-folded input,
+/// at positions `out_start ..`, into a new scratch buffer. Both
+/// convolutions run as one stacked GEMM: the value rows, then the gate
+/// rows.
 fn glu_into(
     glu: &GluConv1d,
     store: &ParamStore,
     x: &[f32],
-    b: usize,
-    w: usize,
-    pair: &mut [f32],
-    out: &mut [f32],
-) {
+    input: Fold,
+    out_start: usize,
+) -> Vec<f32> {
     let (wv, bv) = glu.value_conv().params(store);
     let (wg, bg) = glu.gate_conv().params(store);
-    infer::conv1d_into(x, b, w, &[wv, wg], glu.value_conv().padding(), pair);
-    let cw = bv.len() * w;
-    for (pb, ob) in pair.chunks_exact_mut(2 * cw).zip(out.chunks_exact_mut(cw)) {
-        let (value, gate) = pb.split_at_mut(cw);
-        add_channel_bias(gate, bg.data(), w);
-        simd::sigmoid_in_place(gate);
-        for (ch, &bias) in bv.data().iter().enumerate() {
-            let span = ch * w..(ch + 1) * w;
-            for ((o, &v), &g) in ob[span.clone()]
-                .iter_mut()
-                .zip(&value[span.clone()])
-                .zip(&gate[span])
-            {
-                *o = (v + bias) * g;
-            }
+    let cols = input.from(out_start).cols();
+    let mut pair = scratch::take_full(2 * bv.len() * cols);
+    let padding = glu.value_conv().padding();
+    infer::conv1d_folded_into(x, input, &[wv, wg], padding, out_start, &mut pair);
+    let (value, gate) = pair.split_at_mut(bv.len() * cols);
+    add_channel_bias(gate, bg.data(), cols);
+    simd::sigmoid_in_place(gate);
+    let mut out = scratch::take_full(value.len());
+    for (((o, v), g), &bias) in out
+        .chunks_exact_mut(cols)
+        .zip(value.chunks_exact(cols))
+        .zip(gate.chunks_exact(cols))
+        .zip(bv.data())
+    {
+        for ((o, &v), &g) in o.iter_mut().zip(v).zip(g) {
+            *o = (v + bias) * g;
         }
     }
+    scratch::recycle(pair);
+    out
 }
 
-/// `out = W ⊗ x + b` for a plain convolution layer (its activation is
-/// applied by the caller, after any pre-activation injection).
+/// `out = W ⊗ x + b` at positions `out_start ..` for a plain convolution
+/// layer (its activation is applied by the caller, after any
+/// pre-activation injection).
 fn conv_into(
     layer: &Conv1dLayer,
     store: &ParamStore,
     x: &[f32],
-    b: usize,
-    w: usize,
+    input: Fold,
+    out_start: usize,
     out: &mut [f32],
 ) {
     let (kernel, bias) = layer.params(store);
-    infer::conv1d_into(x, b, w, &[kernel], layer.padding(), out);
-    add_channel_bias(out, bias.data(), w);
+    infer::conv1d_folded_into(x, input, &[kernel], layer.padding(), out_start, out);
+    add_channel_bias(out, bias.data(), input.from(out_start).cols());
 }
 
-/// Adds `bias[c]` to every length-`w` channel row of a channel-major
-/// buffer.
-fn add_channel_bias(x: &mut [f32], bias: &[f32], w: usize) {
-    for (row, &bv) in x.chunks_exact_mut(w).zip(bias.iter().cycle()) {
+/// Adds `bias[c]` to every length-`cols` channel row of a folded buffer.
+fn add_channel_bias(x: &mut [f32], bias: &[f32], cols: usize) {
+    for (row, &bv) in x.chunks_exact_mut(cols).zip(bias) {
         for v in row {
             *v += bv;
         }
+    }
+}
+
+/// `acc += src` at the positions of `at`, for folded buffers with the
+/// same channels whose `src` fold holds those positions (`from.start ≤
+/// at.start`).
+fn add_folded(acc: &mut [f32], at: Fold, src: &[f32], from: Fold) {
+    let (t, skip) = (at.width(), at.start - from.start);
+    for (a, s) in acc.chunks_exact_mut(t).zip(src.chunks_exact(from.width())) {
+        add_assign(a, &s[skip..]);
     }
 }
 
@@ -532,75 +597,76 @@ fn add_assign(acc: &mut [f32], x: &[f32]) {
 }
 
 /// The result of one tape-free forward ([`Cae::infer`]): the embedded
-/// input and the reconstruction, channel-major, in scratch-pool buffers
-/// that return to the pool when the value is dropped.
+/// input and the reconstruction at the positions computed, batch-folded,
+/// in scratch-pool buffers that return to the pool when the value is
+/// dropped.
 pub struct Inference {
-    /// Embedded input `X`, `(B, D′, w)`.
+    /// Embedded input `X`, `(D′, B·w)`.
     embedded: Vec<f32>,
-    /// Reconstruction `X̂`, `(B, R, w)`.
+    /// Reconstruction `X̂` at the positions of `fold`, `(R, B·T)`.
     recon: Vec<f32>,
-    batches: usize,
-    window: usize,
+    fold: Fold,
     recon_dim: usize,
     target: ReconstructionTarget,
 }
 
 impl Inference {
     /// Appends the reconstruction time-major, `(B, w, R)` row-major —
-    /// the layout of the tape forward's `CaeOutput::recon`.
+    /// the layout of the tape forward's `CaeOutput::recon`. Needs a
+    /// [`Positions::All`] forward.
     pub fn recon_into(&self, out: &mut Vec<f32>) {
-        let (w, r) = (self.window, self.recon_dim);
-        out.reserve(self.recon.len());
-        for rb in self.recon.chunks_exact(r * w) {
-            for t in 0..w {
-                out.extend((0..r).map(|ch| rb[ch * w + t]));
+        assert_eq!(
+            self.fold.start, 0,
+            "recon_into needs a Positions::All forward"
+        );
+        let (n, r) = (self.fold.cols(), self.recon_dim);
+        let at = out.len();
+        out.resize(at + self.recon.len(), 0.0);
+        // Transposed TILE columns at a time (see `TILE`).
+        for (tile, dst) in out[at..].chunks_mut(TILE * r).enumerate() {
+            for (ch, row) in self.recon.chunks_exact(n).enumerate() {
+                for (d, &v) in dst.chunks_exact_mut(r).zip(&row[tile * TILE..]) {
+                    d[ch] = v;
+                }
             }
         }
     }
 
     /// Appends the squared reconstruction error `‖x_t − x̂_t‖²` (Eq. 14)
-    /// of every window position, `(B, w)` row-major. `batch` is the
-    /// input of the pass (the target of
+    /// of every position the forward computed, row-major per window: `w`
+    /// per window for [`Positions::All`], one for [`Positions::Last`].
+    /// `batch` is the input of the pass (the target of
     /// [`ReconstructionTarget::Raw`]).
+    ///
+    /// Each error is the sum of squares of a contiguous difference row,
+    /// as `recon.sub(target)` followed by [`Tensor::row_sq_norms`]
+    /// computes it on the tape's outputs.
     pub fn errors_into(&self, batch: &Tensor, out: &mut Vec<f32>) {
-        self.errors_at(batch, 0..self.window, out);
-    }
-
-    /// Appends the error of each window's **last** position only, one
-    /// per window — what the serving paths score.
-    pub fn last_errors_into(&self, batch: &Tensor, out: &mut Vec<f32>) {
-        self.errors_at(batch, self.window - 1..self.window, out);
-    }
-
-    /// Errors at `positions` of every window. Each is the sum of squares
-    /// of a contiguous difference row, as `recon.sub(target)` followed by
-    /// [`Tensor::row_sq_norms`] computes it on the tape's outputs.
-    fn errors_at(&self, batch: &Tensor, positions: Range<usize>, out: &mut Vec<f32>) {
-        let (w, r) = (self.window, self.recon_dim);
+        let (fold, r) = (self.fold, self.recon_dim);
         assert_eq!(
             batch.dims()[..2],
-            [self.batches, w],
+            [fold.batches, fold.window],
             "errors need the forward's batch"
         );
-        let mut diff = scratch::take_full(r);
-        for (bi, rb) in self.recon.chunks_exact(r * w).enumerate() {
-            for t in positions.clone() {
-                match self.target {
-                    ReconstructionTarget::Embedded => {
-                        let xb = &self.embedded[bi * r * w..(bi + 1) * r * w];
-                        for (ch, dv) in diff.iter_mut().enumerate() {
-                            *dv = rb[ch * w + t] - xb[ch * w + t];
-                        }
-                    }
-                    ReconstructionTarget::Raw => {
-                        let xt = &batch.data()[(bi * w + t) * r..][..r];
-                        for (ch, (dv, &xv)) in diff.iter_mut().zip(xt).enumerate() {
-                            *dv = rb[ch * w + t] - xv;
-                        }
-                    }
+        let (n, t, full) = (fold.cols(), fold.width(), fold.batches * fold.window);
+        // Difference rows of TILE columns at a time, gathered channel by
+        // channel so every channel row is read in order.
+        let mut diff = scratch::take_full(TILE * r);
+        out.reserve(n);
+        for col0 in (0..n).step_by(TILE) {
+            let cols = col0..(col0 + TILE).min(n);
+            for ch in 0..r {
+                for (i, col) in cols.clone().enumerate() {
+                    // Position `fold.start + col % t` of window `col / t`.
+                    let at = col / t * fold.window + fold.start + col % t;
+                    let target = match self.target {
+                        ReconstructionTarget::Embedded => self.embedded[ch * full + at],
+                        ReconstructionTarget::Raw => batch.data()[at * r + ch],
+                    };
+                    diff[i * r + ch] = self.recon[ch * n + col] - target;
                 }
-                out.push(simd::sq_sum(&diff));
             }
+            out.extend(diff.chunks_exact(r).take(cols.len()).map(simd::sq_sum));
         }
         scratch::recycle(diff);
     }
@@ -610,8 +676,7 @@ impl std::fmt::Debug for Inference {
     /// Shape only — the buffers hold a whole batch of activations.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inference")
-            .field("batches", &self.batches)
-            .field("window", &self.window)
+            .field("fold", &self.fold)
             .field("recon_dim", &self.recon_dim)
             .field("target", &self.target)
             .finish_non_exhaustive()
@@ -671,7 +736,9 @@ mod tests {
     /// All-position errors of the tape-free forward.
     fn errors(model: &Cae, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
         let mut out = Vec::new();
-        model.infer(store, batch).errors_into(batch, &mut out);
+        model
+            .infer(store, batch, Positions::All)
+            .errors_into(batch, &mut out);
         out
     }
 

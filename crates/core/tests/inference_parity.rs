@@ -1,13 +1,15 @@
 //! The tape-free scoring forward (`Cae::infer`) against the training
 //! forward on the autograd tape (`Cae::forward`), compared with `to_bits`
-//! equality over seeded random configurations, and the batch-row
-//! independence of a window's errors. Every check runs on the active
-//! dispatch path and again with the scalar path forced.
+//! equality over seeded random configurations — for all positions and
+//! for the last position alone, whose forward computes only its
+//! receptive field — and the batch-row independence of a window's
+//! errors. Every check runs on the active dispatch path and again with
+//! the scalar path forced.
 
 use cae_autograd::{ParamStore, Tape};
-use cae_core::{Cae, CaeConfig, ReconstructionTarget};
+use cae_core::{Cae, CaeConfig, Positions, ReconstructionTarget};
 use cae_nn::Activation;
-use cae_tensor::{simd, Tensor};
+use cae_tensor::{scratch, simd, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -65,18 +67,79 @@ fn tape_outputs(model: &Cae, store: &ParamStore, batch: &Tensor) -> (Vec<u32>, V
     (bits(tape.value(out.recon).data()), bits(&errors))
 }
 
-/// The same outputs from the tape-free forward; also checks that the
-/// last-position errors are the all-position errors at `w − 1`.
-fn infer_outputs(model: &Cae, store: &ParamStore, batch: &Tensor) -> (Vec<u32>, Vec<u32>) {
-    let inference = model.infer(store, batch);
+/// Leaves this thread's scratch pool holding only NaN-filled buffers, all
+/// at least as large as any buffer a forward of `model` on `b` windows
+/// takes, so that every scratch take of that forward that is not served
+/// by one of its own recycled buffers gets NaNs, whatever sizes the
+/// forward asks for. A read of a column the forward never computed, or
+/// of a padding zero it never wrote, then turns the output NaN instead
+/// of silently reusing a stale value.
+fn poison_scratch(model: &Cae, b: usize) {
+    while scratch::pooled_buffers() > 0 {
+        drop(scratch::take(0));
+    }
+    let cfg = model.config();
+    // Every activation, score matrix and packed operand over the `B·w`
+    // columns has at most `rows` rows (its columns rounded up to whole
+    // 16-column panels); a packed convolution panel is `C·k` rows of 16.
+    let rows = [
+        cfg.layers * cfg.embed_dim,
+        2 * cfg.embed_dim,
+        cfg.dim,
+        cfg.recon_dim(),
+        cfg.window,
+    ];
+    let cols = (b * cfg.window).next_multiple_of(16);
+    let len =
+        (rows.into_iter().max().unwrap_or(0) * cols).max(cfg.embed_dim * cfg.kernel_size * 16);
+    let count = 64.min(scratch::MAX_POOLED_BYTES / (len * size_of::<f32>()));
+    assert!(count >= 16, "NaN pool too small: {count} buffers of {len}");
+    for _ in 0..count {
+        scratch::recycle(vec![f32::NAN; len]);
+    }
+}
+
+/// The same outputs from the tape-free forward, each pass run on a
+/// NaN-poisoned scratch pool: the reconstruction and errors of a
+/// [`Positions::All`] forward, and the errors of a [`Positions::Last`]
+/// forward, one per window.
+fn infer_outputs(
+    model: &Cae,
+    store: &ParamStore,
+    batch: &Tensor,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let b = batch.dims()[0];
     let (mut recon, mut errors, mut last) = (Vec::new(), Vec::new(), Vec::new());
-    inference.recon_into(&mut recon);
-    inference.errors_into(batch, &mut errors);
-    inference.last_errors_into(batch, &mut last);
+    poison_scratch(model, b);
+    let all = model.infer(store, batch, Positions::All);
+    all.recon_into(&mut recon);
+    all.errors_into(batch, &mut errors);
+    drop(all);
+    poison_scratch(model, b);
+    model
+        .infer(store, batch, Positions::Last)
+        .errors_into(batch, &mut last);
+    (bits(&recon), bits(&errors), bits(&last))
+}
+
+/// Checks the tape-free forward of `model` on `batch` against the tape,
+/// bit for bit: reconstruction, all-position errors, and last-position
+/// errors against the tape's errors at `w − 1`.
+fn assert_matches_tape(model: &Cae, store: &ParamStore, batch: &Tensor, what: &str) {
+    let (tape_recon, tape_errors) = tape_outputs(model, store, batch);
+    let (recon, errors, last) = infer_outputs(model, store, batch);
     let w = model.config().window;
-    let tail: Vec<f32> = errors.chunks_exact(w).map(|row| row[w - 1]).collect();
-    assert_eq!(bits(&last), bits(&tail), "last-position errors");
-    (bits(&recon), bits(&errors))
+    let tape_last: Vec<u32> = tape_errors.chunks_exact(w).map(|row| row[w - 1]).collect();
+    let path = simd::active_name();
+    assert!(
+        recon == tape_recon,
+        "{what} ({path}): reconstruction differs"
+    );
+    assert!(errors == tape_errors, "{what} ({path}): errors differ");
+    assert!(
+        last == tape_last,
+        "{what} ({path}): last-position errors differ"
+    );
 }
 
 const LAYERS: [usize; 3] = [1, 2, 3];
@@ -136,17 +199,49 @@ fn infer_matches_tape_forward_bit_for_bit() {
             let (model, store) = model(cfg.clone(), case as u64);
             let mut rng = StdRng::seed_from_u64(1000 + case as u64);
             let batch = Tensor::rand_uniform(&[*b, cfg.window, cfg.dim], -2.0, 2.0, &mut rng);
-            let (tape_recon, tape_errors) = tape_outputs(&model, &store, &batch);
-            let (recon, errors) = infer_outputs(&model, &store, &batch);
-            let path = simd::active_name();
-            assert!(
-                recon == tape_recon,
-                "case {case} ({path}, B={b}): reconstruction differs for {cfg:?}"
+            assert_matches_tape(
+                &model,
+                &store,
+                &batch,
+                &format!("case {case}, B={b}, {cfg:?}"),
             );
-            assert!(
-                errors == tape_errors,
-                "case {case} ({path}, B={b}): errors differ for {cfg:?}"
-            );
+        }
+    });
+}
+
+#[test]
+fn last_position_matches_tape_at_receptive_field_edges() {
+    // (window, layers, kernel): every schedule start clamps to 0 when
+    // w ≤ (2L+1)(k−1) (w=4, L=3, k=5 and the boundary w=10, L=2, k=3),
+    // starts stay just inside it at w=11, and k=1 prunes the decoder to
+    // the last position alone.
+    let edges = [
+        (4, 3, 5),
+        (10, 2, 3),
+        (11, 2, 3),
+        (5, 1, 3),
+        (4, 1, 1),
+        (16, 2, 1),
+        (33, 3, 1),
+    ];
+    on_both_paths(|| {
+        for (i, &(window, layers, kernel)) in edges.iter().enumerate() {
+            for (attention, target, b) in [
+                (true, ReconstructionTarget::Embedded, 3),
+                (false, ReconstructionTarget::Raw, 65),
+            ] {
+                let cfg = CaeConfig::new(2)
+                    .embed_dim(6)
+                    .window(window)
+                    .layers(layers)
+                    .kernel_size(kernel)
+                    .attention(attention)
+                    .target(target);
+                let (model, store) = model(cfg.clone(), 50 + i as u64);
+                let mut rng = StdRng::seed_from_u64(60 + i as u64);
+                let batch = Tensor::rand_uniform(&[b, window, 2], -2.0, 2.0, &mut rng);
+                assert_matches_tape(&model, &store, &batch, &format!("B={b}, {cfg:?}"));
+            }
         }
     });
 }
@@ -174,17 +269,14 @@ fn window_errors_do_not_depend_on_batch_row() {
         }
         on_both_paths(|| {
             let path = simd::active_name();
-            for (name, (_, errors), (_, moved)) in [
+            let infer_errors = |batch: &Tensor| infer_outputs(&model, &store, batch).1;
+            for (name, errors, moved) in [
                 (
                     "tape",
-                    tape_outputs(&model, &store, &batch),
-                    tape_outputs(&model, &store, &permuted),
+                    tape_outputs(&model, &store, &batch).1,
+                    tape_outputs(&model, &store, &permuted).1,
                 ),
-                (
-                    "infer",
-                    infer_outputs(&model, &store, &batch),
-                    infer_outputs(&model, &store, &permuted),
-                ),
+                ("infer", infer_errors(&batch), infer_errors(&permuted)),
             ] {
                 for (dst, &src) in order.iter().enumerate() {
                     assert_eq!(

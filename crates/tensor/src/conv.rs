@@ -30,11 +30,20 @@
 //! gone). The input-gradient adjoint is the same GEMM against a
 //! channel-transposed, tap-reversed weight matrix. Batch elements
 //! parallelize over the persistent worker pool ([`crate::par`]).
+//!
+//! The inference forward uses [`conv1d_folded_into`] instead: the same
+//! product over a batch-folded `(C, B·T)` input ([`Fold`]), one GEMM over
+//! all `B·T` columns that may compute only the output positions from a
+//! given start on. Its panels span windows; its packer reads each
+//! window's part of a panel row with one fixed-width masked read, so a
+//! one-window panel costs what [`Tensor::conv1d`]'s per-window panel
+//! does.
 
 #[cfg(target_arch = "x86_64")]
 use crate::gemm;
+use crate::infer::Fold;
 use crate::Tensor;
-use crate::{par, scratch};
+use crate::{matmul, par, scratch};
 
 /// Zero-padding scheme of a 1-D convolution. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -171,23 +180,122 @@ fn kernel_grad_row(gw_row: &mut [f32], g_row: &[f32], x_row: &[f32], pl: usize) 
     }
 }
 
-/// Convolution of `x` `(B, C_in, L)` with several same-shape kernels
-/// `(C_out, C_in, K)`, stacked along the output channels: per batch
-/// element, rows `i·C_out ..` of `out` `(B, n·C_out, L)` hold
+/// Columns per packed panel of [`conv1d_folded_into`] — the packed GEMM
+/// core's `NR`, used by the scalar arm too.
+pub(crate) const PANEL: usize = 16;
+
+/// The implicit im2col matrix `X̃ (C_in·K, B·T_out)` of a convolution
+/// over a batch-folded input ([`Fold`]): depth row `ci·K + j`, column
+/// `b·T_out + u` holds input position `output.start + u + j − pl` of
+/// window `b`, or zero outside the window.
+struct FoldedTaps<'a> {
+    x: &'a [f32],
+    input: Fold,
+    output: Fold,
+    cin: usize,
+    k: usize,
+    pl: usize,
+}
+
+impl FoldedTaps<'_> {
+    /// Packs columns `j0 .. j0 + width` (`width ≤ PANEL`) of every depth
+    /// row `d` into `dst[d·PANEL ..][..PANEL]`, zero-filling columns
+    /// `width .. PANEL`.
+    ///
+    /// The panel splits into one run of in-window inputs per window it
+    /// touches. Per tap, each run's source offset and lane mask are
+    /// computed once and reused for every input channel: a depth row is
+    /// then, per run, one fixed-width `PANEL`-float read of the input
+    /// masked to the run's lanes, OR-ed together. Variable-length copies
+    /// and fills would cost a library call per run.
+    fn pack(&self, j0: usize, width: usize, dst: &mut [f32]) {
+        debug_assert!(width <= PANEL && dst.len() == self.cin * self.k * PANEL);
+        let (tin, tout) = (self.input.width(), self.output.width());
+        let ld = self.input.cols();
+        // (panel column, columns, window, first position) per window.
+        let mut windows = [(0, 0, 0, 0); PANEL];
+        let mut nwin = 0;
+        let mut col = j0;
+        while col < j0 + width {
+            let (b, u0) = (col / tout, col % tout);
+            let len = (tout - u0).min(j0 + width - col);
+            windows[nwin] = (col - j0, len, b, u0);
+            nwin += 1;
+            col += len;
+        }
+        // Per run: the input column read into panel lane 0 (lane `c`
+        // reads `x[ci·ld + shift + c]`), and all-ones bits on the run's
+        // lanes — `bits & mask` keeps a value exactly, zero elsewhere.
+        let mut shifts = [0isize; PANEL];
+        let mut masks = [[0u32; PANEL]; PANEL];
+        for j in 0..self.k {
+            let mut nrun = 0;
+            for &(off, len, b, u0) in &windows[..nwin] {
+                // Input position of the window's first panel column under
+                // tap `j`; columns `lead .. end` fall inside the window.
+                let first = (self.output.start + u0 + j) as isize - self.pl as isize;
+                let lead = (-first).clamp(0, len as isize) as usize;
+                let end = (self.input.window as isize - first).clamp(lead as isize, len as isize)
+                    as usize;
+                if end > lead {
+                    shifts[nrun] = (b * tin) as isize + first - (self.input.start + off) as isize;
+                    masks[nrun] = [0; PANEL];
+                    masks[nrun][off + lead..off + end].fill(u32::MAX);
+                    nrun += 1;
+                }
+            }
+            for ci in 0..self.cin {
+                let mut bits = [0u32; PANEL];
+                for (&shift, mask) in shifts[..nrun].iter().zip(&masks) {
+                    let from = (ci * ld) as isize + shift;
+                    match usize::try_from(from)
+                        .ok()
+                        .and_then(|from| self.x.get(from..from + PANEL))
+                    {
+                        Some(span) => {
+                            for ((acc, &v), &m) in bits.iter_mut().zip(span).zip(mask) {
+                                *acc |= v.to_bits() & m;
+                            }
+                        }
+                        // The first and last columns of `x`: lane by lane.
+                        None => {
+                            for (c, (acc, &m)) in bits.iter_mut().zip(mask).enumerate() {
+                                if m != 0 {
+                                    *acc = self.x[(from + c as isize) as usize].to_bits();
+                                }
+                            }
+                        }
+                    }
+                }
+                let out = &mut dst[(ci * self.k + j) * PANEL..][..PANEL];
+                for (o, &v) in out.iter_mut().zip(&bits) {
+                    *o = f32::from_bits(v);
+                }
+            }
+        }
+    }
+}
+
+/// Convolution of a batch-folded input `x` `(C_in, B·T_in)` (see
+/// [`Fold`]) with several same-shape kernels `(C_out, C_in, K)` stacked
+/// along the output channels, computing only output positions
+/// `out_start .. w`: rows `i·C_out ..` of `out` `(n·C_out, B·T_out)` hold
 /// `kernels[i] ⊗ x`.
 ///
-/// Every output element is computed exactly as [`Tensor::conv1d`] with
-/// that kernel alone computes it: the packed-or-scalar decision is taken
-/// on one kernel's madd count `C_out·C_in·K·L`, and the packed arm runs
-/// all kernels as **one** GEMM of `n·C_out` rows (a GLU's value and gate
-/// convolutions in a single pass) whose per-row accumulation is
-/// unchanged. `out` needs no initialization.
-pub fn conv1d_into(
+/// Every computed element equals the one [`Tensor::conv1d`] computes for
+/// that kernel on the full `(B, C_in, w)` input: the packed-or-scalar
+/// decision is taken on one kernel's **unpruned** madd count
+/// `C_out·C_in·K·w`, the packed arm contracts the whole `C_in·K` depth in
+/// one microkernel pass, and the scalar arm reproduces the four-tap
+/// grouping of the per-window kernel. The input must hold every position
+/// the computed outputs read: `input.start` is 0 or at most
+/// `out_start − pl`. `out` needs no initialization.
+pub fn conv1d_folded_into(
     x: &[f32],
-    batches: usize,
-    len: usize,
+    input: Fold,
     kernels: &[&Tensor],
     padding: Padding,
+    out_start: usize,
     out: &mut [f32],
 ) {
     let first = kernels.first().expect("conv1d needs a kernel");
@@ -202,50 +310,75 @@ pub fn conv1d_into(
         "stacked conv1d kernels must share one shape"
     );
     assert!(k >= 1, "conv1d kernel size must be >= 1");
-    let l = len;
-    assert_eq!(x.len(), batches * cin * l, "conv1d input length");
-    assert_eq!(
-        out.len(),
-        batches * kernels.len() * cout * l,
-        "conv1d output length"
+    let pl = padding.left(k);
+    assert!(
+        input.start == 0 || input.start + pl <= out_start,
+        "conv1d outputs from {out_start} read inputs before {}",
+        input.start
     );
+    let output = input.from(out_start);
+    let (depth, n, rows_out) = (cin * k, output.cols(), kernels.len() * cout);
+    assert_eq!(x.len(), cin * input.cols(), "conv1d input length");
+    assert_eq!(out.len(), rows_out * n, "conv1d output length");
     if out.is_empty() {
         return;
     }
-    let pl = padding.left(k);
-    let rows_out = kernels.len() * cout;
+    let taps = FoldedTaps {
+        x,
+        input,
+        output,
+        cin,
+        k,
+        pl,
+    };
     #[cfg(target_arch = "x86_64")]
-    if gemm::enabled(cout * cin * k * l) {
-        // The packed path *stores* every output element (no
-        // accumulation), so the buffer needs no zeroing.
-        gemm::conv_batch(
-            x,
+    if gemm::enabled(cout * cin * k * input.window) {
+        // The whole depth in one pass, as `Tensor::conv1d` contracts it.
+        gemm::gemm_panels(
+            rows_out,
+            n,
+            depth,
             &gemm::AStacked {
                 parts: kernels,
                 rows: cout,
             },
+            &|j0, w, dst| taps.pack(j0, w, dst),
             out,
-            &gemm::ConvShape {
-                batches,
-                rows_in: cin,
-                rows_out,
-                k,
-                l,
-                pl,
-            },
         );
         return;
     }
-    // One GEMM per batch element and kernel; the kernel's (co, ci, j)
-    // layout already matches the X̃ row order (ci, j).
-    out.fill(0.0);
-    par::for_each_chunk(out, rows_out * l, |bi, y| {
-        let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-        for (w, yk) in kernels.iter().zip(y.chunks_exact_mut(cout * l)) {
-            conv_gemm(yk, w.data(), &xpad, cout, cin, k, l);
+    // Scalar arm: per panel, materialize X̃ and run each output row as
+    // `conv_gemm` does (the same expression per element).
+    let base = par::SyncMutPtr(out.as_mut_ptr());
+    let panels = n.div_ceil(PANEL);
+    let run_panel = |jp: usize| {
+        let j0 = jp * PANEL;
+        let width = PANEL.min(n - j0);
+        let mut cols = scratch::take_full(depth * PANEL);
+        taps.pack(j0, width, &mut cols);
+        for (i, w) in kernels.iter().enumerate() {
+            for (co, wrow) in w.data().chunks_exact(depth).enumerate() {
+                let mut acc = [0.0f32; PANEL];
+                matmul::matmul_into(wrow, &cols, &mut acc, 1, depth, PANEL);
+                // SAFETY: row `i·C_out + co` < rows_out and columns
+                // `j0 .. j0 + width` ≤ n lie inside `out`; no other panel
+                // writes these columns, and `for_each_index` returns only
+                // after every panel is done.
+                let orow = unsafe {
+                    std::slice::from_raw_parts_mut(base.get().add((i * cout + co) * n + j0), width)
+                };
+                orow.copy_from_slice(&acc[..width]);
+            }
         }
-        scratch::recycle(xpad);
-    });
+        scratch::recycle(cols);
+    };
+    if par::threads() > 1 && out.len() >= par::PAR_THRESHOLD && panels > 1 {
+        par::for_each_index(panels, run_panel);
+    } else {
+        for jp in 0..panels {
+            run_panel(jp);
+        }
+    }
 }
 
 impl Tensor {
@@ -264,8 +397,43 @@ impl Tensor {
             cin, cin2,
             "conv1d channel mismatch: input {cin}, kernel {cin2}"
         );
+        assert!(kernel.dims()[2] >= 1, "conv1d kernel size must be >= 1");
+        let (k, x) = (kernel.dims()[2], self.data());
+        let pl = padding.left(k);
         let mut out = scratch::take_full(b * cout * l);
-        conv1d_into(self.data(), b, l, &[kernel], padding, &mut out);
+        if out.is_empty() {
+            return Tensor::from_vec(out, &[b, cout, l]);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if gemm::enabled(cout * cin * k * l) {
+            // The packed path *stores* every output element (no
+            // accumulation), so the buffer needs no zeroing.
+            gemm::conv_batch(
+                x,
+                &gemm::ARows {
+                    data: kernel.data(),
+                    ld: cin * k,
+                },
+                &mut out,
+                &gemm::ConvShape {
+                    batches: b,
+                    rows_in: cin,
+                    rows_out: cout,
+                    k,
+                    l,
+                    pl,
+                },
+            );
+            return Tensor::from_vec(out, &[b, cout, l]);
+        }
+        // One GEMM per batch element; the kernel's (co, ci, j) layout
+        // already matches the X̃ row order (ci, j).
+        out.fill(0.0);
+        par::for_each_chunk(&mut out, cout * l, |bi, y| {
+            let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
+            conv_gemm(y, kernel.data(), &xpad, cout, cin, k, l);
+            scratch::recycle(xpad);
+        });
         Tensor::from_vec(out, &[b, cout, l])
     }
 

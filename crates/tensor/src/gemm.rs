@@ -50,6 +50,10 @@ pub(crate) const MR: usize = 6;
 
 /// Microkernel tile width (columns of B per panel, two `ymm` registers).
 pub(crate) const NR: usize = 16;
+const _: () = assert!(
+    NR == crate::conv::PANEL,
+    "folded conv panels must be NR wide"
+);
 
 /// Depth slab: at most this many contraction steps are packed at a time.
 /// 512 keeps a full-width packed B block (`n_round × KC` floats) within
@@ -565,6 +569,103 @@ unsafe fn kernel_6x16(
     store_row!(5, c50, c51);
 }
 
+/// Strided operands of [`gemm_direct`]: element `(i, d)` of A is
+/// `a[i·a_row + d·a_depth]`, depth row `d` of B is `b[d·ldb ..]`, and
+/// output row `i` is `out[i·ldo ..]`.
+pub(crate) struct Direct<'a> {
+    pub a: &'a [f32],
+    pub a_row: usize,
+    pub a_depth: usize,
+    pub b: &'a [f32],
+    pub ldb: usize,
+    pub ldo: usize,
+}
+
+/// `out (m × n) = A (m × depth) · B (depth × n)` read straight from
+/// strided operands, without packing — for products so small (one
+/// window's attention) that packing would cost more than the FMAs.
+///
+/// Bit-identical to [`gemm`] over the same operands: every element is
+/// one FMA chain from +0 over the depth in order, per [`KC`] slab, and
+/// later slabs are added to the first.
+pub(crate) fn gemm_direct(m: usize, n: usize, depth: usize, v: &Direct<'_>, out: &mut [f32]) {
+    if m == 0 || n == 0 || depth == 0 {
+        return;
+    }
+    let last_a = (m - 1) * v.a_row + (depth - 1) * v.a_depth;
+    assert!(last_a < v.a.len(), "gemm_direct: A view out of bounds");
+    assert!(
+        (depth - 1) * v.ldb + n <= v.b.len(),
+        "gemm_direct: B view out of bounds"
+    );
+    assert!(
+        (m - 1) * v.ldo + n <= out.len(),
+        "gemm_direct: output view out of bounds"
+    );
+    assert!(simd::avx2_active(), "gemm_direct needs AVX2+FMA");
+    // SAFETY: AVX2+FMA verified above; the asserts bound every A index
+    // (i < m, d < depth), B row span (d < depth, j < n) and output span
+    // (i < m, j < n) the kernel touches.
+    unsafe { direct_kernel(m, n, depth, v, out.as_mut_ptr()) }
+}
+
+/// The body of [`gemm_direct`]: four output rows (the last one repeated
+/// when fewer remain) by eight columns at a time, with masked loads and
+/// stores at the right edge.
+///
+/// # Safety
+///
+/// AVX2+FMA must be runtime-verified, and every index implied by
+/// `m`, `n`, `depth` and the strides of `v` must lie inside `v.a`, `v.b`
+/// and the `out` allocation.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn direct_kernel(m: usize, n: usize, depth: usize, v: &Direct<'_>, out: *mut f32) {
+    let (a, b) = (v.a.as_ptr(), v.b.as_ptr());
+    for i0 in (0..m).step_by(4) {
+        let rows = [
+            i0,
+            (i0 + 1).min(m - 1),
+            (i0 + 2).min(m - 1),
+            (i0 + 3).min(m - 1),
+        ];
+        for j0 in (0..n).step_by(8) {
+            let lanes = (n - j0).min(8) as i32;
+            let mask = _mm256_setr_epi32(
+                -i32::from(lanes > 0),
+                -i32::from(lanes > 1),
+                -i32::from(lanes > 2),
+                -i32::from(lanes > 3),
+                -i32::from(lanes > 4),
+                -i32::from(lanes > 5),
+                -i32::from(lanes > 6),
+                -i32::from(lanes > 7),
+            );
+            let mut total = [_mm256_setzero_ps(); 4];
+            for k0 in (0..depth).step_by(KC) {
+                let mut acc = [_mm256_setzero_ps(); 4];
+                for d in k0..(k0 + KC).min(depth) {
+                    // SAFETY: row `d < depth` of B has `n` readable
+                    // floats from `j0` on; masked-off lanes are not read.
+                    let bv = unsafe { _mm256_maskload_ps(b.add(d * v.ldb + j0), mask) };
+                    for (acc, &i) in acc.iter_mut().zip(&rows) {
+                        // SAFETY: `i < m` and `d < depth` (caller bound).
+                        let av = unsafe { *a.add(i * v.a_row + d * v.a_depth) };
+                        *acc = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, *acc);
+                    }
+                }
+                for (t, acc) in total.iter_mut().zip(acc) {
+                    *t = if k0 == 0 { acc } else { _mm256_add_ps(*t, acc) };
+                }
+            }
+            for (r, t) in total.iter().enumerate().take(m - i0) {
+                // SAFETY: row `i0 + r < m` of the output has `n` writable
+                // floats from `j0` on; masked-off lanes are not written.
+                unsafe { _mm256_maskstore_ps(out.add((i0 + r) * v.ldo + j0), mask, *t) };
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Contraction entry points
 // ---------------------------------------------------------------------
@@ -729,6 +830,78 @@ pub(crate) fn conv_batch<A: APanelSrc>(x: &[f32], a: &A, out: &mut [f32], s: &Co
     });
     scratch::recycle(pw);
 }
+
+/// `out (m × n) = A (m × depth) · B (depth × n)`, one column panel at a
+/// time, the whole depth in one microkernel pass — as [`conv_batch`]
+/// runs each batch element, whatever the depth.
+///
+/// A's row blocks are packed once. B is packed one panel at a time by
+/// `pack_b(j0, w, dst)`, which writes columns `j0 .. j0 + w` of every
+/// depth row `d` to `dst[d·NR ..]` and zeros columns `w .. NR`; the panel
+/// then meets every row block while it is L1-resident, and its buffer is
+/// the same size whatever `n` is. Panels fan out over the pool, each
+/// writing only its own columns of `out`.
+pub(crate) fn gemm_panels<A: APanelSrc>(
+    m: usize,
+    n: usize,
+    depth: usize,
+    a: &A,
+    pack_b: &PackPanel<'_>,
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), m * n, "gemm_panels output length");
+    if m == 0 || n == 0 || depth == 0 {
+        return;
+    }
+    let nblocks = m.div_ceil(MR);
+    // Block `ib` at `ib·depth·MR`. Fully packed before use — unspecified
+    // initial contents are fine.
+    let mut pa = scratch::take_full(nblocks * depth * MR);
+    for (ib, dst) in pa.chunks_exact_mut(depth * MR).enumerate() {
+        let i0 = ib * MR;
+        a.pack_block(0, depth, i0, MR.min(m - i0), dst);
+    }
+    let pa_ref = &pa;
+    let base = SyncMutPtr(out.as_mut_ptr());
+    let npanels = n.div_ceil(NR);
+    let run_panel = |jp: usize| {
+        let j0 = jp * NR;
+        let w = NR.min(n - j0);
+        let mut pb = scratch::take_full(depth * NR);
+        pack_b(j0, w, &mut pb);
+        for ib in 0..nblocks {
+            let i0 = ib * MR;
+            // SAFETY: same contract as in `gemm` — both panels are fully
+            // packed for `depth` steps, `i0 < m` and `j0 < n`, and the
+            // tile stays inside rows i0..i0+h, columns j0..j0+w of `out`
+            // (stride `n`), which no other panel writes.
+            unsafe {
+                microkernel(
+                    pa_ref.as_ptr().add(ib * depth * MR),
+                    pb.as_ptr(),
+                    depth,
+                    base.get().add(i0 * n + j0),
+                    n,
+                    MR.min(m - i0),
+                    w,
+                    false,
+                );
+            }
+        }
+        scratch::recycle(pb);
+    };
+    if par::threads() > 1 && m * n >= par::PAR_THRESHOLD && npanels > 1 {
+        par::for_each_index(npanels, run_panel);
+    } else {
+        for jp in 0..npanels {
+            run_panel(jp);
+        }
+    }
+    scratch::recycle(pa);
+}
+
+/// The B packer of [`gemm_panels`]: `(j0, w, dst)`.
+pub(crate) type PackPanel<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
 
 /// Kernel gradient as one batch-fused GEMM:
 /// `gw (C_out × C_in·k) = Σ_{bi,t} grad_out[bi][·][t] · X̃[bi][·][t]ᵀ`,

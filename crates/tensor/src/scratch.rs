@@ -23,7 +23,15 @@
 use std::cell::RefCell;
 
 /// Maximum buffers kept per thread.
-pub const MAX_POOLED_BUFFERS: usize = 64;
+///
+/// A thread that both scores and trains (a serving thread that re-fits,
+/// or the batch scorer's caller) keeps two working sets here: the
+/// tape's, and the inference forward's, whose sizes vary with the batch
+/// and with each pruned stage's width. Once the list is full, every
+/// further recycle frees its buffer and the next take allocates anew, so
+/// a list too short for both sets turns a training loop into
+/// allocator churn that fragments the heap.
+pub const MAX_POOLED_BUFFERS: usize = 128;
 
 /// Maximum capacity (elements) of a pooled buffer — 4 Mi elements, 16 MiB.
 pub const MAX_POOLED_LEN: usize = 1 << 22;
