@@ -66,10 +66,9 @@
 //! ```
 
 use cae_chaos as chaos;
-use cae_chaos::HealthReport;
 use cae_core::{CaeEnsemble, PersistError, RefitOptions};
 use cae_data::{Detector, DriftMonitor, ObservationReservoir, TimeSeries};
-use cae_obs::{Counter, Gauge, Histogram, MetricsRegistry, ObsClock};
+use cae_obs::{Counter, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -481,30 +480,6 @@ impl AdaptationController {
             last_good: Arc::clone(live),
             obs: AdaptObs::new(registry),
         }
-    }
-
-    /// Re-homes this controller's telemetry into `registry`, carrying the
-    /// lifetime [`AdaptationStats`] counters over so the registry mirrors
-    /// [`AdaptationController::stats`] (exact when the registry is
-    /// enabled at attach time).
-    pub fn attach_observability(&mut self, registry: &MetricsRegistry) {
-        self.obs = AdaptObs::new(registry);
-        self.obs.drift_trips.add(self.stats.drift_trips);
-        self.obs.refits_started.add(self.stats.refits_started);
-        self.obs.refits_completed.add(self.stats.refits_completed);
-        self.obs.refits_failed.add(self.stats.refits_failed);
-        self.obs.refit_retries.add(self.stats.refit_retries);
-        self.obs.spawn_failures.add(self.stats.spawn_failures);
-        self.obs
-            .checkpoints_written
-            .add(self.stats.checkpoints_written);
-        self.obs
-            .checkpoint_retries
-            .add(self.stats.checkpoint_retries);
-        self.obs
-            .checkpoint_fallbacks
-            .add(self.stats.checkpoint_fallbacks);
-        self.obs.backoff_ms.add(self.stats.backoff_ms);
     }
 
     /// The drift monitor (band, EWMA, counters).
@@ -921,9 +896,7 @@ mod tests {
     }
 
     /// The `adapt_*` registry counters are an exact mirror of
-    /// [`AdaptationStats`] across a full drift → re-fit → publish cycle,
-    /// and `attach_observability` carries the lifetime counts into a
-    /// fresh registry.
+    /// [`AdaptationStats`] across a full drift → re-fit → publish cycle.
     #[test]
     fn registry_counters_mirror_adaptation_stats() {
         // Re-fits run on their own thread and consult the process-global
@@ -951,56 +924,47 @@ mod tests {
         assert!(started, "drift never tripped a re-fit");
         assert!(ctl.wait().is_some(), "clean re-fit publishes");
 
-        let mirror = |registry: &MetricsRegistry, stats: &AdaptationStats| {
-            let snapshot = registry.snapshot();
-            let counter = |name: &str| {
-                snapshot
-                    .counters
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map_or_else(|| panic!("counter {name} not registered"), |&(_, v)| v)
-            };
-            assert_eq!(counter("adapt_drift_trips_total"), stats.drift_trips);
-            assert_eq!(counter("adapt_refits_started_total"), stats.refits_started);
-            assert_eq!(
-                counter("adapt_refits_completed_total"),
-                stats.refits_completed
-            );
-            assert_eq!(counter("adapt_refits_failed_total"), stats.refits_failed);
-            assert_eq!(counter("adapt_refit_retries_total"), stats.refit_retries);
-            assert_eq!(counter("adapt_spawn_failures_total"), stats.spawn_failures);
-            assert_eq!(
-                counter("adapt_checkpoints_written_total"),
-                stats.checkpoints_written
-            );
-            assert_eq!(
-                counter("adapt_checkpoint_retries_total"),
-                stats.checkpoint_retries
-            );
-            assert_eq!(
-                counter("adapt_checkpoint_fallbacks_total"),
-                stats.checkpoint_fallbacks
-            );
-            assert_eq!(counter("adapt_backoff_ms_total"), stats.backoff_ms);
-        };
         let stats = ctl.stats();
         assert_eq!(stats.refits_started, 1);
         assert_eq!(stats.refits_completed, 1);
-        mirror(&registry, stats);
+        let snapshot = registry.snapshot();
+        let counter = |name: &str| {
+            snapshot
+                .counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or_else(|| panic!("counter {name} not registered"), |&(_, v)| v)
+        };
+        assert_eq!(counter("adapt_drift_trips_total"), stats.drift_trips);
+        assert_eq!(counter("adapt_refits_started_total"), stats.refits_started);
+        assert_eq!(
+            counter("adapt_refits_completed_total"),
+            stats.refits_completed
+        );
+        assert_eq!(counter("adapt_refits_failed_total"), stats.refits_failed);
+        assert_eq!(counter("adapt_refit_retries_total"), stats.refit_retries);
+        assert_eq!(counter("adapt_spawn_failures_total"), stats.spawn_failures);
+        assert_eq!(
+            counter("adapt_checkpoints_written_total"),
+            stats.checkpoints_written
+        );
+        assert_eq!(
+            counter("adapt_checkpoint_retries_total"),
+            stats.checkpoint_retries
+        );
+        assert_eq!(
+            counter("adapt_checkpoint_fallbacks_total"),
+            stats.checkpoint_fallbacks
+        );
+        assert_eq!(counter("adapt_backoff_ms_total"), stats.backoff_ms);
 
         // The duration histogram saw exactly the one supervised launch.
-        let snapshot = registry.snapshot();
         let (_, refit_hist) = snapshot
             .histograms
             .iter()
             .find(|(n, _)| *n == "adapt_refit_duration_ns")
             .expect("duration histogram registered");
         assert_eq!(refit_hist.count, 1);
-
-        // Re-homing into a fresh registry carries the lifetime counts.
-        let fresh = MetricsRegistry::new();
-        ctl.attach_observability(&fresh);
-        mirror(&fresh, ctl.stats());
     }
 
     #[test]

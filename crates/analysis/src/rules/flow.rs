@@ -30,16 +30,12 @@ use crate::parser::{FnItem, IoOp};
 /// * `registry.rs / sum`, `registry.rs / max`: the histogram running sum
 ///   and watermark; same monotone-statistic contract, read only by
 ///   snapshots.
-/// * `trace.rs / seq`: the trace ring's global order ticket; it only
-///   allocates sequence numbers, and each slot's contents are published
-///   separately via a Release store of the slot's own `seq1` cell.
 const A1_PURE_COUNTERS: &[(&str, &str)] = &[
     ("crates/tensor/src/par.rs", "spawned"),
     ("crates/tensor/src/par.rs", "next"),
     ("crates/obs/src/registry.rs", "cell"),
     ("crates/obs/src/registry.rs", "sum"),
     ("crates/obs/src/registry.rs", "max"),
-    ("crates/obs/src/trace.rs", "seq"),
 ];
 
 /// Entry points whose transitive callees form the scoring hot path:

@@ -1,8 +1,9 @@
 //! `perf_report` — the machine-readable performance baseline.
 //!
 //! Times the tensor kernels underneath every model, one full training step
-//! of the CAE basic model, and full-ensemble inference on synthetic data,
-//! then writes `BENCH_tensor.json` at the repo root:
+//! of the CAE basic model, full-ensemble inference, the ensemble-level
+//! scoring primitives and the serving, adaptation and durability paths on
+//! synthetic data, then writes `BENCH_tensor.json` at the repo root:
 //!
 //! ```json
 //! {"version": 2, "threads": 8, "pool_workers_spawned": 7, "isa": "avx2+fma",
@@ -27,14 +28,16 @@
 
 use cae_autograd::{ParamStore, Tape};
 use cae_bench::HARNESS_SEED;
+use cae_core::diversity::{ensemble_diversity, pairwise_diversity};
 use cae_core::{Cae, CaeConfig, CaeEnsemble, EnsembleConfig, StreamingDetector};
+use cae_data::scoring::{median_scores, series_scores_from_window_errors};
 use cae_data::{Detector, TimeSeries};
 use cae_nn::{Adam, Optimizer};
 use cae_obs::MetricsRegistry;
 use cae_serve::{FleetDetector, HealthConfig, StreamId};
 use cae_tensor::{par, simd, Padding, Tensor};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 struct Entry {
@@ -341,6 +344,32 @@ fn main() {
             std::hint::black_box(ens.score(&test));
         },
     ));
+
+    // --- Ensemble-level scoring primitives --------------------------------
+    // The model-free steps around the member forwards: the Eq. 15 median
+    // over members, the Figure 10 window→series protocol (first window
+    // scores every position, later windows their last), and the Eq. 9–10
+    // diversity metric the trainer's anchors and Table 6 evaluate.
+    let mut random_scores = |models: usize, len: usize| -> Vec<Vec<f32>> {
+        (0..models)
+            .map(|_| (0..len).map(|_| rng.gen_range(0.0f32..10.0)).collect())
+            .collect()
+    };
+    let per_model = random_scores(8, 10_000);
+    let outputs = random_scores(8, 50_000);
+    let window_errors: Vec<f32> = (0..10_000 * 16).map(|_| rng.gen_range(0.0..1.0)).collect();
+    results.push(bench("median_scores", "8 models, 10k obs", budget, || {
+        std::hint::black_box(median_scores(&per_model));
+    }));
+    results.push(bench("window_protocol", "10k windows, w16", budget, || {
+        std::hint::black_box(series_scores_from_window_errors(&window_errors, 10_000, 16));
+    }));
+    results.push(bench("pairwise_diversity", "50k outputs", budget, || {
+        std::hint::black_box(pairwise_diversity(&outputs[0], &outputs[1]));
+    }));
+    results.push(bench("ensemble_diversity", "8 models, 50k", budget, || {
+        std::hint::black_box(ensemble_diversity(&outputs));
+    }));
 
     // --- Serving: per-stream streaming vs fleet-batched ticks ------------
     // The same workload — 64 concurrent streams, one observation each per

@@ -277,10 +277,11 @@ pub fn fmt_secs(d: Duration) -> String {
 
 /// Enables thread parallelism matching the machine.
 ///
-/// Every figure/table binary, criterion bench and `perf_report` calls this
-/// first so reported times reflect the parallel backend (the persistent
-/// worker pool in `cae_tensor::par`). Idempotent and cheap: workers are
-/// spawned lazily by the first parallel kernel, once per process.
+/// Every figure/table binary calls this first so reported times reflect
+/// the parallel backend (the persistent worker pool in `cae_tensor::par`);
+/// `perf_report` sets the same pool from its `--threads` flag instead.
+/// Idempotent and cheap: workers are spawned lazily by the first parallel
+/// kernel, once per process.
 pub fn init_parallelism() {
     cae_tensor::par::use_all_cores();
 }

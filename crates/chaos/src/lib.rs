@@ -15,9 +15,6 @@
 //! * [`input`] — a seeded generator of the mixed-fleet input pathologies
 //!   (NaN storms, flat-lined sensors, dropped/duplicated observations,
 //!   dimension-garbled rows) used to drive fleet tests end to end.
-//! * [`health`] — the [`HealthReport`] both `cae-serve` and `cae-adapt`
-//!   fill in, so one struct summarizes quarantines, load shedding,
-//!   retries and fallbacks across the tiers.
 //!
 //! Failpoints are process-global (that is the point: the code under test
 //! must not know it is being tested), so tests that arm them must hold
@@ -34,11 +31,9 @@
 //! ```
 
 pub mod failpoint;
-pub mod health;
 pub mod input;
 pub mod rng;
 
 pub use failpoint::{disarm_all, exclusive, sites, ChaosGuard, FailPoint, Fault, Schedule};
-pub use health::HealthReport;
 pub use input::{Delivery, FaultWindow, InputFault, StreamFaultInjector};
 pub use rng::SplitMix64;

@@ -3,8 +3,9 @@
 //! `cae-serve` reports stream-health and load-shedding counters,
 //! `cae-adapt` reports retry/backoff/fallback counters; merging the two
 //! gives operators one degradation summary per fleet. The struct lives
-//! here — the one crate both tiers already depend on — so neither tier
-//! has to depend on the other to share it.
+//! here, beside the registry counters that mirror it, in the one crate
+//! both tiers already depend on, so neither tier has to depend on the
+//! other to share it.
 
 /// Degradation counters across the serving and adaptation tiers.
 ///

@@ -12,9 +12,9 @@
 //!   A disabled registry costs exactly one `Ordering::Relaxed` load per
 //!   site, the same discipline as `cae-chaos` failpoints, so
 //!   instrumentation can stay compiled into the hot paths.
-//! * [`TraceRing`] — a fixed-size ring of span enter/exit events with
-//!   per-thread write cursors and a deterministic sequence-ordered
-//!   dump.
+//! * [`HealthReport`] — the degradation summary `cae-serve` and
+//!   `cae-adapt` fill in and merge: quarantines, load shedding, retries
+//!   and fallbacks across the tiers, mirrored by registry counters.
 //! * [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::to_prometheus`]
 //!   — deterministic exporters (stable ordering, pinned by golden
 //!   tests).
@@ -30,12 +30,12 @@
 
 pub mod clock;
 pub mod export;
+pub mod health;
 pub mod registry;
-pub mod trace;
 
 pub use clock::{MockClock, ObsClock};
+pub use health::HealthReport;
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, LatencyTimer, MetricsRegistry, MetricsSnapshot,
     HISTOGRAM_BUCKETS,
 };
-pub use trace::{SpanId, TraceEvent, TraceKind, TraceLane, TraceRing};

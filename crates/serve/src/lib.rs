@@ -51,9 +51,8 @@
 
 use cae_autograd::Tape;
 use cae_chaos as chaos;
-use cae_chaos::HealthReport;
 use cae_core::CaeEnsemble;
-use cae_obs::{Counter, Gauge, Histogram, MetricsRegistry, ObsClock};
+use cae_obs::{Counter, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
 use cae_tensor::{scratch, Tensor};
 use std::sync::Arc;
 

@@ -49,12 +49,6 @@ impl Tensor {
         Tensor::rand_uniform(dims, -a, a, rng)
     }
 
-    /// He/Kaiming normal initialization: `N(0, sqrt(2 / fan_in))`.
-    pub fn he_normal<R: Rng + ?Sized>(dims: &[usize], fan_in: usize, rng: &mut R) -> Tensor {
-        let std = (2.0 / fan_in.max(1) as f32).sqrt();
-        Tensor::rand_normal(dims, 0.0, std, rng)
-    }
-
     /// Bernoulli 0/1 mask where each entry is 1 with probability `keep`.
     ///
     /// Used for the random connection removal of AE-Ensemble (20% of the

@@ -23,7 +23,7 @@
 //!    in an atomic) and exposes the `CAE_TENSOR_FORCE_SCALAR` /
 //!    [`simd::set_force_scalar`] overrides. It also hosts the vectorized
 //!    elementwise kernels (activations and their gradients, reductions,
-//!    softmax passes, axpys) next to their portable scalar twins.
+//!    softmax passes) next to their portable scalar twins.
 //! 2. **Packed GEMM core** (`gemm`, x86_64 only): every dense
 //!    contraction — `matmul`/`matmul_tn`/`matmul_nt`, the three `bmm`
 //!    variants, and the implicit-im2col convolution forward/input-grad/

@@ -3,8 +3,7 @@
 //! Every hot loop in this crate funnels through this module: the packed
 //! GEMM core ([`crate::gemm`]) asks it which instruction set to use, and
 //! the bandwidth-bound elementwise kernels (activations, their gradients,
-//! reductions, softmax passes, optimizer axpys) call the dispatched
-//! helpers below.
+//! reductions, softmax passes) call the dispatched helpers below.
 //!
 //! # Dispatch model
 //!
@@ -297,15 +296,6 @@ pub(crate) fn add_assign(acc: &mut [f32], x: &[f32]) {
     dispatch!(add_assign(acc, x));
     for (a, &v) in acc.iter_mut().zip(x) {
         *a += v;
-    }
-}
-
-/// `acc[i] += scale * x[i]` (the optimizer's axpy).
-pub(crate) fn axpy(acc: &mut [f32], x: &[f32], scale: f32) {
-    debug_assert_eq!(acc.len(), x.len());
-    dispatch!(axpy(acc, x, scale));
-    for (a, &v) in acc.iter_mut().zip(x) {
-        *a += scale * v;
     }
 }
 
@@ -797,32 +787,6 @@ mod avx2 {
             t,
             {
                 acc[t] += x[t];
-            }
-        );
-    }
-
-    /// # Safety
-    ///
-    /// AVX2+FMA must be runtime-verified, and `x.len() >= acc.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn axpy(acc: &mut [f32], x: &[f32], scale: f32) {
-        debug_assert!(x.len() >= acc.len());
-        let s = _mm256_set1_ps(scale);
-        lanes!(
-            acc.len(),
-            i,
-            {
-                // SAFETY: `i + 8 <= acc.len() <= x.len()` per the lanes!
-                // loop bound and the length contract.
-                unsafe {
-                    let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-                    let v = _mm256_loadu_ps(x.as_ptr().add(i));
-                    _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_fmadd_ps(v, s, a));
-                }
-            },
-            t,
-            {
-                acc[t] += scale * x[t];
             }
         );
     }

@@ -138,11 +138,6 @@ impl Tensor {
         }
     }
 
-    /// A rank-1 tensor with values `0, 1, …, n-1`.
-    pub fn arange(n: usize) -> Self {
-        Tensor::from_vec((0..n).map(|i| i as f32).collect(), &[n])
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -340,18 +335,6 @@ impl Tensor {
         simd::add_assign(&mut self.data, &other.data);
     }
 
-    /// Adds `scale * other` into `self` in place (fused multiply-add).
-    pub fn add_scaled_inplace(&mut self, other: &Tensor, scale: f32) {
-        assert_eq!(
-            self.dims(),
-            other.dims(),
-            "add_scaled_inplace: shape mismatch {} vs {}",
-            self.shape,
-            other.shape
-        );
-        simd::axpy(&mut self.data, &other.data, scale);
-    }
-
     /// Multiplies every element by `value`, in place.
     pub fn scale_inplace(&mut self, value: f32) {
         simd::scale_in_place(&mut self.data, value);
@@ -530,10 +513,8 @@ mod tests {
         let b = Tensor::from_vec(vec![10.0, 20.0], &[2]);
         a.add_inplace(&b);
         assert_eq!(a.data(), &[11.0, 22.0]);
-        a.add_scaled_inplace(&b, 0.5);
-        assert_eq!(a.data(), &[16.0, 32.0]);
         a.scale_inplace(2.0);
-        assert_eq!(a.data(), &[32.0, 64.0]);
+        assert_eq!(a.data(), &[22.0, 44.0]);
         a.fill_zero();
         assert_eq!(a.data(), &[0.0, 0.0]);
     }
@@ -589,10 +570,11 @@ mod tests {
 
     #[test]
     fn reshape_roundtrip() {
-        let a = Tensor::arange(6).reshape(&[2, 3]);
+        let flat = Tensor::from_vec((0..6).map(|i| i as f32).collect(), &[6]);
+        let a = flat.reshape(&[2, 3]);
         assert_eq!(a.at(&[1, 0]), 3.0);
         let b = a.reshape(&[6]);
-        assert_eq!(b.data(), Tensor::arange(6).data());
+        assert_eq!(b, flat);
     }
 
     #[test]

@@ -65,17 +65,10 @@ fn main() {
         &registry, // adapt_* refit/drift/checkpoint metrics
     );
 
-    // 3. The span-trace ring rides alongside the metrics: enter/exit
-    //    events around each tick, merged and sequence-ordered on dump.
-    let ring = TraceRing::new(64);
-    let tick_span = ring.span("fleet_tick");
-    let lane = ring.lane();
-
-    // 4. Serve 60 rounds; stream 0 is hit by a six-tick NaN burst.
+    // 3. Serve 60 rounds; stream 0 is hit by a six-tick NaN burst.
     let mut out = Vec::new();
     let mut injected = 0u64;
     for t in 0..60 {
-        lane.enter(tick_span, t as u32);
         for (k, &id) in ids.iter().enumerate() {
             let burst = k == 0 && (20..26).contains(&t);
             let obs = if burst { [f32::NAN] } else { [wave(t, k)] };
@@ -94,7 +87,6 @@ fn main() {
         for &(_, score) in &out {
             adapt.observe(fleet.ensemble(), &[score], score);
         }
-        lane.exit(tick_span, t as u32);
     }
     // Trip one background re-fit so the adapt_* counters move too.
     for t in 0..20 {
@@ -105,7 +97,7 @@ fn main() {
     }
     journal.sync().expect("journal sync");
 
-    // 5. The registry mirrors the health report exactly — counters are
+    // 4. The registry mirrors the health report exactly — counters are
     //    an exact account of what was injected, not a sample.
     let report = fleet.health_report();
     let snapshot = registry.snapshot();
@@ -129,16 +121,7 @@ fn main() {
         report.quarantine_events
     );
 
-    let dump = ring.dump();
-    println!("trace ring: {} events, last four:", dump.len());
-    for e in dump.iter().rev().take(4).rev() {
-        println!(
-            "  seq {:3}  {:?} {} (t={})",
-            e.seq, e.kind, e.name, e.payload
-        );
-    }
-
-    // 6. Export the catalog: deterministic JSON and Prometheus text.
+    // 5. Export the catalog: deterministic JSON and Prometheus text.
     let out_dir = std::path::Path::new("target/obs");
     std::fs::create_dir_all(out_dir).expect("create target/obs");
     std::fs::write(out_dir.join("metrics.json"), snapshot.to_json()).expect("write json");
@@ -150,7 +133,7 @@ fn main() {
         println!("  {line}");
     }
 
-    // 7. Enabled-telemetry overhead, measured honestly: the same tick
+    // 6. Enabled-telemetry overhead, measured honestly: the same tick
     //    workload on an instrumented and an uninstrumented fleet,
     //    interleaved round by round so clock drift and frequency scaling
     //    hit both sides equally.

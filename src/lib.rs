@@ -18,8 +18,8 @@
 //! * [`data`] — time series containers, pre-processing, synthetic datasets;
 //! * [`metrics`] — PR/ROC AUC and F1 evaluation suites;
 //! * [`obs`] — runtime telemetry: the lock-free metrics registry,
-//!   latency histograms, span-trace ring and exporters every serving
-//!   tier publishes into;
+//!   latency histograms, the fleet health report and the exporters every
+//!   serving tier publishes into;
 //! * [`nn`] / [`autograd`] / [`tensor`] — the neural substrate.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the
@@ -40,7 +40,6 @@ pub use cae_tensor as tensor;
 /// Convenience prelude importing the types most programs need.
 pub mod prelude {
     pub use cae_adapt::{AdaptationConfig, AdaptationController, CheckpointFailure};
-    pub use cae_chaos::HealthReport;
     pub use cae_core::{
         CaeConfig, CaeEnsemble, EnsembleConfig, PersistError, RefitOptions, StreamingDetector,
     };
@@ -49,7 +48,7 @@ pub mod prelude {
         TimeSeries,
     };
     pub use cae_metrics::EvalReport;
-    pub use cae_obs::{MetricsRegistry, ObsClock, TraceRing};
+    pub use cae_obs::{HealthReport, MetricsRegistry, ObsClock};
     pub use cae_serve::{
         FleetDetector, HealthConfig, PushError, PushOutcome, StreamHealth, StreamId,
     };
@@ -67,7 +66,7 @@ mod tests {
             Dataset, DatasetKind, Detector, DriftMonitor, EnsembleConfig, EvalReport,
             FleetDetector, HealthConfig, HealthReport, MetricsRegistry, ObsClock,
             ObservationReservoir, PushError, PushOutcome, RefitOptions, Scale, Scaler,
-            StreamHealth, StreamingDetector, TimeSeries, TraceRing,
+            StreamHealth, StreamingDetector, TimeSeries,
         };
 
         let series = TimeSeries::univariate((0..64).map(|t| (t as f32 * 0.3).sin()).collect());
@@ -133,10 +132,6 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("prelude_checks_total").inc();
         let _clock = ObsClock::monotonic();
-        let ring = TraceRing::new(8);
-        let lane = ring.lane();
-        lane.enter(ring.span("prelude"), 0);
-        assert_eq!(ring.dump().len(), 1);
         assert!(registry
             .snapshot()
             .to_json()

@@ -415,8 +415,8 @@ fn restart_recovery_pipeline_reconverges_bit_exactly() {
 fn observability_pipeline_mirrors_fault_counts_and_exports() {
     // Miniature of examples/observability.rs: an instrumented fleet
     // survives a NaN burst; the registry counters mirror the health
-    // report and the injected ground truth exactly, the span-trace ring
-    // orders its tick events, and both exporters carry the catalog.
+    // report and the injected ground truth exactly, and both exporters
+    // carry the catalog.
     let wave = |t: usize| (t as f32 * 0.23).sin();
     let train = TimeSeries::univariate((0..260).map(wave).collect());
     let mut detector = CaeEnsemble::new(
@@ -434,20 +434,14 @@ fn observability_pipeline_mirrors_fault_counts_and_exports() {
     let mut fleet = FleetDetector::with_observability(detector, HealthConfig::default(), &registry);
     let id = fleet.add_stream();
 
-    let ring = TraceRing::new(16);
-    let span = ring.span("tick");
-    let lane = ring.lane();
-
     let mut out = Vec::new();
     let mut injected = 0u64;
     for t in 0..40 {
         let burst = (14..18).contains(&t);
         injected += u64::from(burst);
         let obs = if burst { [f32::NAN] } else { [wave(t)] };
-        lane.enter(span, t as u32);
         fleet.push(id, &obs).expect("NaN rows are absorbed");
         fleet.tick(&mut out);
-        lane.exit(span, t as u32);
     }
 
     let report = fleet.health_report();
@@ -468,8 +462,7 @@ fn observability_pipeline_mirrors_fault_counts_and_exports() {
     );
     assert_eq!(counter("serve_recoveries_total"), report.recoveries);
 
-    // Both exporters carry the catalog, and the trace ring kept its
-    // per-tick enter/exit pairs in global sequence order.
+    // Both exporters carry the catalog.
     let json = snapshot.to_json();
     let prom = snapshot.to_prometheus();
     for name in [
@@ -480,12 +473,6 @@ fn observability_pipeline_mirrors_fault_counts_and_exports() {
         assert!(json.contains(name), "{name} missing from JSON export");
         assert!(prom.contains(name), "{name} missing from Prometheus export");
     }
-    let dump = ring.dump();
-    assert!(!dump.is_empty());
-    assert!(
-        dump.windows(2).all(|w| w[0].seq < w[1].seq),
-        "trace dump must be sequence-ordered"
-    );
 }
 
 #[test]
