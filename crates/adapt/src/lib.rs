@@ -68,7 +68,7 @@
 use cae_chaos as chaos;
 use cae_core::{CaeEnsemble, PersistError, RefitOptions};
 use cae_data::{Detector, DriftMonitor, ObservationReservoir, TimeSeries};
-use cae_obs::{Counter, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
+use cae_obs::{CounterCell, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -265,6 +265,37 @@ pub struct AdaptationStats {
     pub backoff_ms: u64,
 }
 
+impl AdaptationStats {
+    /// Registry names, in [`AdaptationStats::values`] order.
+    const NAMES: [&'static str; 10] = [
+        "adapt_drift_trips_total",
+        "adapt_refits_started_total",
+        "adapt_refits_completed_total",
+        "adapt_refits_failed_total",
+        "adapt_refit_retries_total",
+        "adapt_spawn_failures_total",
+        "adapt_checkpoints_written_total",
+        "adapt_checkpoint_retries_total",
+        "adapt_checkpoint_fallbacks_total",
+        "adapt_backoff_ms_total",
+    ];
+
+    fn values(&self) -> [u64; 10] {
+        [
+            self.drift_trips,
+            self.refits_started,
+            self.refits_completed,
+            self.refits_failed,
+            self.refit_retries,
+            self.spawn_failures,
+            self.checkpoints_written,
+            self.checkpoint_retries,
+            self.checkpoint_fallbacks,
+            self.backoff_ms,
+        ]
+    }
+}
+
 /// What the background worker hands back.
 struct RefitReport {
     /// The adapted ensemble and its own scores on the reservoir series
@@ -272,13 +303,9 @@ struct RefitReport {
     outcome: Result<(CaeEnsemble, Vec<f32>), String>,
     /// Attempts retried before the outcome was settled.
     refit_retries: u64,
-    /// Checkpoint write result (`None` when no path is configured or the
-    /// re-fit itself failed).
-    checkpoint: Option<Result<(), CheckpointFailure>>,
-    /// Write attempts retried.
-    checkpoint_retries: u64,
-    /// Scheduled backoff spent on those retries, in milliseconds.
-    backoff_ms: u64,
+    /// What [`write_checkpoint`] returned (`None` when no path is
+    /// configured or the re-fit itself failed).
+    checkpoint: Option<(Result<(), CheckpointFailure>, u64, u64)>,
 }
 
 /// One supervised re-fit attempt: panics (the worker's own or one
@@ -312,39 +339,54 @@ fn write_checkpoint(
     path: &std::path::Path,
     cfg: &AdaptationConfig,
 ) -> (Result<(), CheckpointFailure>, u64, u64) {
-    let mut retries = 0u64;
-    let mut backoff_total = 0u64;
+    let (mut retries, mut backoff_total) = (0u32, 0u64);
     let mut delay = cfg.backoff_base_ms;
-    let mut last_err: Option<PersistError> = None;
-    for attempt in 0..=cfg.checkpoint_retries {
-        match adapted.save(path) {
-            Ok(()) => return (Ok(()), retries, backoff_total),
-            Err(e) => {
-                last_err = Some(e);
-                if attempt < cfg.checkpoint_retries {
-                    retries += 1;
-                    backoff_total += delay;
-                    std::thread::sleep(Duration::from_millis(delay));
-                    delay = (delay * 2).min(cfg.backoff_cap_ms);
-                }
-            }
+    loop {
+        let error = match adapted.save(path) {
+            Ok(()) => return (Ok(()), retries.into(), backoff_total),
+            Err(error) => error,
+        };
+        if retries == cfg.checkpoint_retries {
+            let failure = CheckpointFailure {
+                error,
+                retries,
+                backoff_ms: backoff_total,
+            };
+            return (Err(failure), retries.into(), backoff_total);
         }
-    }
-    let failure = last_err.map(|error| CheckpointFailure {
-        error,
-        retries: retries as u32,
-        backoff_ms: backoff_total,
-    });
-    match failure {
-        Some(f) => (Err(f), retries, backoff_total),
-        // Unreachable (the loop runs at least once), but a quiet Ok is
-        // the safe answer if the retry budget arithmetic ever changes.
-        None => (Ok(()), retries, backoff_total),
+        retries += 1;
+        backoff_total += delay;
+        std::thread::sleep(Duration::from_millis(delay));
+        delay = (delay * 2).min(cfg.backoff_cap_ms);
     }
 }
 
-/// Telemetry handles of the adaptation tier. Every handle is a no-op
-/// (one relaxed load) against a disabled registry; see
+/// Panics unless `live` is fitted and `cfg`'s reservoir can hold more
+/// than one of its windows — the contract of [`AdaptationController::new`]
+/// and [`AdaptationController::restore`].
+fn check_config(live: &CaeEnsemble, cfg: &AdaptationConfig) {
+    assert!(
+        live.num_members() > 0,
+        "AdaptationController requires a fitted ensemble"
+    );
+    let window = live.model_config().window;
+    assert!(
+        cfg.min_observations > window,
+        "min_observations {} must exceed the model window {window}",
+        cfg.min_observations
+    );
+    assert!(
+        cfg.reservoir_capacity >= cfg.min_observations,
+        "reservoir capacity {} below min_observations {}",
+        cfg.reservoir_capacity,
+        cfg.min_observations
+    );
+}
+
+/// Telemetry handles of the adaptation tier. The histogram and gauge are
+/// no-ops (one relaxed load) against a disabled registry; the counters
+/// are cells the registry links, written from [`AdaptationStats`] by
+/// [`AdaptationController::count`] only. See
 /// [`AdaptationController::with_observability`].
 #[derive(Clone, Debug)]
 struct AdaptObs {
@@ -356,34 +398,28 @@ struct AdaptObs {
     /// Current drift statistic in baseline standard deviations:
     /// `(ewma - baseline_mean) / baseline_std`.
     drift_z: Gauge,
-    drift_trips: Counter,
-    refits_started: Counter,
-    refits_completed: Counter,
-    refits_failed: Counter,
-    refit_retries: Counter,
-    spawn_failures: Counter,
-    checkpoints_written: Counter,
-    checkpoint_retries: Counter,
-    checkpoint_fallbacks: Counter,
-    backoff_ms: Counter,
+    /// The `adapt_*_total` cells, in [`AdaptationStats::values`] order.
+    counters: [CounterCell; 10],
 }
 
 impl AdaptObs {
-    fn new(registry: &MetricsRegistry) -> Self {
+    /// Opens the handles in `registry` and links counter cells holding
+    /// `stats` there.
+    fn new(registry: &MetricsRegistry, stats: &AdaptationStats) -> Self {
+        let counters: [CounterCell; 10] = Default::default();
+        for ((name, cell), v) in AdaptationStats::NAMES
+            .into_iter()
+            .zip(&counters)
+            .zip(stats.values())
+        {
+            cell.set(v);
+            registry.link_counter(name, cell.clone());
+        }
         AdaptObs {
             clock: ObsClock::monotonic(),
             refit_duration_ns: registry.histogram("adapt_refit_duration_ns"),
             drift_z: registry.gauge("adapt_drift_z"),
-            drift_trips: registry.counter("adapt_drift_trips_total"),
-            refits_started: registry.counter("adapt_refits_started_total"),
-            refits_completed: registry.counter("adapt_refits_completed_total"),
-            refits_failed: registry.counter("adapt_refits_failed_total"),
-            refit_retries: registry.counter("adapt_refit_retries_total"),
-            spawn_failures: registry.counter("adapt_spawn_failures_total"),
-            checkpoints_written: registry.counter("adapt_checkpoints_written_total"),
-            checkpoint_retries: registry.counter("adapt_checkpoint_retries_total"),
-            checkpoint_fallbacks: registry.counter("adapt_checkpoint_fallbacks_total"),
-            backoff_ms: registry.counter("adapt_backoff_ms_total"),
+            counters,
         }
     }
 }
@@ -448,22 +484,7 @@ impl AdaptationController {
         cfg: AdaptationConfig,
         registry: &MetricsRegistry,
     ) -> Self {
-        assert!(
-            live.num_members() > 0,
-            "AdaptationController requires a fitted ensemble"
-        );
-        let window = live.model_config().window;
-        assert!(
-            cfg.min_observations > window,
-            "min_observations {} must exceed the model window {window}",
-            cfg.min_observations
-        );
-        assert!(
-            cfg.reservoir_capacity >= cfg.min_observations,
-            "reservoir capacity {} below min_observations {}",
-            cfg.reservoir_capacity,
-            cfg.min_observations
-        );
+        check_config(live, &cfg);
         let monitor =
             DriftMonitor::from_baseline_scores(baseline_scores, cfg.ewma_alpha, cfg.band_sigma);
         let reservoir = ObservationReservoir::new(live.model_config().dim, cfg.reservoir_capacity);
@@ -478,7 +499,7 @@ impl AdaptationController {
             was_drifted: false,
             last_checkpoint_error: None,
             last_good: Arc::clone(live),
-            obs: AdaptObs::new(registry),
+            obs: AdaptObs::new(registry, &AdaptationStats::default()),
         }
     }
 
@@ -495,6 +516,16 @@ impl AdaptationController {
     /// Operational counters.
     pub fn stats(&self) -> &AdaptationStats {
         &self.stats
+    }
+
+    /// Applies `event` to the [`AdaptationStats`] record and publishes the
+    /// record into the linked `adapt_*_total` cells: the one path that
+    /// writes either, so the registry always equals [`Self::stats`].
+    fn count(&mut self, event: impl FnOnce(&mut AdaptationStats)) {
+        event(&mut self.stats);
+        for (cell, v) in self.obs.counters.iter().zip(self.stats.values()) {
+            cell.set(v);
+        }
     }
 
     /// Whether a background re-fit is currently running.
@@ -555,8 +586,7 @@ impl AdaptationController {
             self.obs.drift_z.set(f64::from(z));
         }
         if drifted && !self.was_drifted {
-            self.stats.drift_trips += 1;
-            self.obs.drift_trips.inc();
+            self.count(|s| s.drift_trips += 1);
         }
         self.was_drifted = drifted;
 
@@ -576,8 +606,7 @@ impl AdaptationController {
         // must not take down the serving loop: the live ensemble keeps
         // scoring, and a later drifted observation retries the launch.
         if chaos::sites::ADAPT_SPAWN.fire().is_some() {
-            self.stats.spawn_failures += 1;
-            self.obs.spawn_failures.inc();
+            self.count(|s| s.spawn_failures += 1);
             return false;
         }
         let snapshot = Arc::clone(live);
@@ -601,45 +630,34 @@ impl AdaptationController {
                     refit_retries += 1;
                     outcome = attempt_refit(&snapshot, &recent, &cfg.refit);
                 }
-                let mut report = RefitReport {
-                    outcome: Err(String::new()),
-                    refit_retries,
-                    checkpoint: None,
-                    checkpoint_retries: 0,
-                    backoff_ms: 0,
+                // Score the reservoir and write the checkpoint while still
+                // off the serving thread: poll() then publishes without
+                // paying inference or disk I/O between ticks. `save`
+                // stages into a temp file and renames, so a crash
+                // mid-write can never destroy the previous checkpoint.
+                let outcome = outcome.map(|adapted| {
+                    let baseline = adapted.score(&recent);
+                    (adapted, baseline)
+                });
+                let checkpoint = match (&outcome, &cfg.checkpoint_path) {
+                    (Ok((adapted, _)), Some(path)) => Some(write_checkpoint(adapted, path, &cfg)),
+                    _ => None,
                 };
-                match outcome {
-                    Err(why) => report.outcome = Err(why),
-                    Ok(adapted) => {
-                        // Score the reservoir and write the checkpoint
-                        // while still off the serving thread: poll() then
-                        // publishes without paying inference or disk I/O
-                        // between ticks. `save` stages into a temp file
-                        // and renames, so a crash mid-write can never
-                        // destroy the previous checkpoint.
-                        let baseline = adapted.score(&recent);
-                        if let Some(path) = &cfg.checkpoint_path {
-                            let (result, retries, backoff) = write_checkpoint(&adapted, path, &cfg);
-                            report.checkpoint = Some(result);
-                            report.checkpoint_retries = retries;
-                            report.backoff_ms = backoff;
-                        }
-                        report.outcome = Ok((adapted, baseline));
-                    }
+                RefitReport {
+                    outcome,
+                    refit_retries,
+                    checkpoint,
                 }
-                report
             });
         let handle = match spawned {
             Ok(h) => h,
             Err(_) => {
-                self.stats.spawn_failures += 1;
-                self.obs.spawn_failures.inc();
+                self.count(|s| s.spawn_failures += 1);
                 return false;
             }
         };
         self.worker = Some(handle);
-        self.stats.refits_started += 1;
-        self.obs.refits_started.inc();
+        self.count(|s| s.refits_started += 1);
         self.last_refit_at = Some(self.observed);
         true
     }
@@ -675,41 +693,36 @@ impl AdaptationController {
             // supervised section — count it and fall back to the
             // last-good ensemble, which is still serving.
             Err(_) => {
-                self.stats.refits_failed += 1;
-                self.obs.refits_failed.inc();
+                self.count(|s| s.refits_failed += 1);
                 return None;
             }
         };
-        self.stats.refit_retries += report.refit_retries;
-        self.stats.checkpoint_retries += report.checkpoint_retries;
-        self.stats.backoff_ms += report.backoff_ms;
-        self.obs.refit_retries.add(report.refit_retries);
-        self.obs.checkpoint_retries.add(report.checkpoint_retries);
-        self.obs.backoff_ms.add(report.backoff_ms);
+        self.count(|s| {
+            s.refit_retries += report.refit_retries;
+            if let Some((_, retries, backoff_ms)) = &report.checkpoint {
+                s.checkpoint_retries += retries;
+                s.backoff_ms += backoff_ms;
+            }
+        });
         let (adapted, baseline) = match report.outcome {
             Ok(pair) => pair,
             // Every attempt failed: keep serving the last-good ensemble.
             Err(_) => {
-                self.stats.refits_failed += 1;
-                self.obs.refits_failed.inc();
+                self.count(|s| s.refits_failed += 1);
                 return None;
             }
         };
-        self.stats.refits_completed += 1;
-        self.obs.refits_completed.inc();
         // The worker already wrote the checkpoint (off the serving
         // thread); a failed write is recorded — kind, retries, backoff —
         // and the publish proceeds in-memory. A failed disk write must
         // not block a swap.
-        match report.checkpoint {
+        match report.checkpoint.map(|(result, _, _)| result) {
             Some(Ok(())) => {
-                self.stats.checkpoints_written += 1;
-                self.obs.checkpoints_written.inc();
+                self.count(|s| s.checkpoints_written += 1);
                 self.last_checkpoint_error = None;
             }
             Some(Err(failure)) => {
-                self.stats.checkpoint_fallbacks += 1;
-                self.obs.checkpoint_fallbacks.inc();
+                self.count(|s| s.checkpoint_fallbacks += 1);
                 self.last_checkpoint_error = Some(failure);
             }
             None => {}
@@ -726,15 +739,10 @@ impl AdaptationController {
         // the band re-calibration consumes it immediately.
         let finite: Vec<f32> = baseline.into_iter().filter(|s| s.is_finite()).collect();
         if finite.is_empty() {
-            self.stats.refits_completed -= 1;
-            self.stats.refits_failed += 1;
-            self.obs.refits_failed.inc();
-            // Counters are monotonic: the registry cannot take the
-            // completion back, so an abandoned publish shows up as
-            // completed+failed there while `stats` nets it out. The
-            // failed counter is the one alerting keys on.
+            self.count(|s| s.refits_failed += 1);
             return None;
         }
+        self.count(|s| s.refits_completed += 1);
         self.monitor.rebaseline(&finite);
         self.was_drifted = false;
         let adapted = Arc::new(adapted);
@@ -965,6 +973,47 @@ mod tests {
             .find(|(n, _)| *n == "adapt_refit_duration_ns")
             .expect("duration histogram registered");
         assert_eq!(refit_hist.count, 1);
+    }
+
+    /// Observations near 1.5e19, under a frozen serving scaler, make the
+    /// re-fit's reconstruction errors overflow to +∞ while its parameters
+    /// stay finite: the adapted model has no finite score on its own
+    /// reservoir, so `finish` abandons the publish as a failed re-fit —
+    /// and the registry still equals the stats record.
+    #[test]
+    fn diverged_refit_counts_as_failed_in_stats_and_registry_alike() {
+        let _guard = cae_chaos::exclusive();
+        let live = trained_on_regime_a();
+        let registry = MetricsRegistry::new();
+        let frozen = RefitOptions {
+            update_scaler: false,
+            ..RefitOptions::warm(1, 7)
+        };
+        let cfg = small_cfg().refit(frozen.clone());
+        let mut ctl = AdaptationController::with_observability(&live, &[0.01; 64], cfg, &registry);
+        let mut started = false;
+        for t in 0..120 {
+            let huge = 1.5e19 * (1.0 + 0.5 * (t as f32 * 0.3).sin());
+            started |= ctl.observe(&live, &[huge], 10.0);
+        }
+        assert!(started, "the drifted reservoir must launch a re-fit");
+        // The worker's (deterministic) re-fit, replayed: it scores +∞
+        // everywhere but never NaN, so scoring did not panic the worker
+        // and `finish` reached the divergence check.
+        let recent = ctl.reservoir().series();
+        let replayed = live.refit(&recent, &frozen).score(&recent);
+        assert!(replayed.iter().all(|&s| s == f32::INFINITY));
+        assert!(ctl.wait().is_none(), "a diverged re-fit must not publish");
+        assert!(Arc::ptr_eq(ctl.last_good_ensemble(), &live));
+        let stats = *ctl.stats();
+        assert_eq!((stats.refits_completed, stats.refits_failed), (0, 1));
+        let snapshot = registry.snapshot();
+        for (name, value) in AdaptationStats::NAMES.into_iter().zip(stats.values()) {
+            assert!(
+                snapshot.counters.contains(&(name, value)),
+                "{name} != stats value {value}"
+            );
+        }
     }
 
     #[test]

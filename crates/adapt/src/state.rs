@@ -77,16 +77,9 @@ impl AdaptationState {
         w.usize(self.reservoir.head);
         w.usize(self.reservoir.filled);
         w.f32_slice(&self.reservoir.ring);
-        w.u64(self.stats.drift_trips);
-        w.u64(self.stats.refits_started);
-        w.u64(self.stats.refits_completed);
-        w.u64(self.stats.refits_failed);
-        w.u64(self.stats.refit_retries);
-        w.u64(self.stats.spawn_failures);
-        w.u64(self.stats.checkpoints_written);
-        w.u64(self.stats.checkpoint_retries);
-        w.u64(self.stats.checkpoint_fallbacks);
-        w.u64(self.stats.backoff_ms);
+        for count in self.stats.values() {
+            w.u64(count);
+        }
         w.u64(self.observed);
         match self.last_refit_at {
             Some(at) => {
@@ -205,22 +198,7 @@ impl AdaptationController {
         cfg: AdaptationConfig,
         state: &AdaptationState,
     ) -> Result<Self, PersistError> {
-        assert!(
-            live.num_members() > 0,
-            "AdaptationController requires a fitted ensemble"
-        );
-        let window = live.model_config().window;
-        assert!(
-            cfg.min_observations > window,
-            "min_observations {} must exceed the model window {window}",
-            cfg.min_observations
-        );
-        assert!(
-            cfg.reservoir_capacity >= cfg.min_observations,
-            "reservoir capacity {} below min_observations {}",
-            cfg.reservoir_capacity,
-            cfg.min_observations
-        );
+        crate::check_config(live, &cfg);
         let dim = live.model_config().dim;
         if state.reservoir.dim != dim {
             return Err(PersistError::Corrupt(format!(
@@ -248,7 +226,7 @@ impl AdaptationController {
             was_drifted: state.was_drifted,
             last_checkpoint_error: None,
             last_good: Arc::clone(live),
-            obs: crate::AdaptObs::new(&cae_obs::MetricsRegistry::disabled()),
+            obs: crate::AdaptObs::new(&cae_obs::MetricsRegistry::disabled(), &state.stats),
         })
     }
 }

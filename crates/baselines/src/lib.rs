@@ -9,14 +9,14 @@
 //! |---|---|---|
 //! | ISF | Isolation Forest, 100 estimators | [`IsolationForest`] |
 //! | LOF | Local Outlier Factor, k = 20 | [`LocalOutlierFactor`] |
-//! | OCSVM | one-class SVM, RBF kernel, ν = 0.5 | [`OneClassSvm`] (random-Fourier-feature approximation; see `DESIGN.md` §2) |
+//! | OCSVM | one-class SVM, RBF kernel, ν = 0.5 | [`OneClassSvm`] (random-Fourier-feature approximation; see the substitution note in `ocsvm.rs`) |
 //! | MAS | moving-average smoothing | [`MovingAverage`] |
 //! | AE-Ensemble | feed-forward AEs, 20% connections dropped | [`AeEnsemble`] |
 //! | RAE | LSTM seq2seq autoencoder | [`Rae`] |
 //! | RAE-Ensemble | recurrent AEs with sparse skip connections | [`RaeEnsemble`] |
-//! | MSCRED | correlation-matrix reconstruction | [`Mscred`] (convolutional-AE-free simplification; see `DESIGN.md` §2) |
+//! | MSCRED | correlation-matrix reconstruction | [`Mscred`] (convolutional-AE-free simplification; see the substitution note in `mscred.rs`) |
 //! | RNNVAE | variational recurrent AE | [`RnnVae`] |
-//! | OMNIANOMALY | stochastic recurrent AE | [`OmniAnomaly`] (without normalizing flows; see `DESIGN.md` §2) |
+//! | OMNIANOMALY | stochastic recurrent AE | [`OmniAnomaly`] (without normalizing flows; see the substitution note in `omni.rs`) |
 //!
 //! The eleventh comparison method, the single CAE, is
 //! [`cae_core::CaeEnsemble`] with `num_models(1)`.

@@ -5,7 +5,7 @@
 //! instead of using the time series directly. Matrices have length 16 with
 //! 5 steps in-between" (paper Section 4.1.2).
 //!
-//! **Substitution note** (`DESIGN.md` §2): the defining trait — scoring
+//! **Substitution note**: the defining trait — scoring
 //! *signature (correlation) matrices* of 16-step segments taken every 5
 //! steps — is kept exactly; the ConvLSTM reconstruction stack of the
 //! original is replaced by a feed-forward autoencoder over the matrices'
@@ -14,10 +14,10 @@
 //! paper's Tables 3–4, and that granularity is retained: every timestamp
 //! in a segment inherits the segment's reconstruction error.
 
+use crate::util::gather_observations;
 use cae_autograd::{ParamStore, Tape};
 use cae_data::{Detector, Scaler, TimeSeries};
 use cae_nn::{Activation, Adam, Linear, Optimizer};
-use cae_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -137,16 +137,23 @@ impl Mscred {
             .collect()
     }
 
-    /// Reconstruction error of each segment in `series`.
-    fn segment_errors(&self, series: &TimeSeries, starts: &[usize]) -> Vec<f32> {
+    /// The signatures of the segments starting at `starts`, one row each,
+    /// as a series of `feature_len`-dimensional observations.
+    fn signatures(&self, series: &TimeSeries, starts: &[usize]) -> TimeSeries {
         let f = self.feature_len();
-        let encoder = self.encoder.as_ref().expect("fitted");
-        let decoder = self.decoder.as_ref().expect("fitted");
         let mut features = vec![0.0f32; starts.len() * f];
         for (row, &s) in starts.iter().enumerate() {
             self.signature(series, s, &mut features[row * f..(row + 1) * f]);
         }
-        let batch = Tensor::from_vec(features, &[starts.len(), f]);
+        TimeSeries::new(features, f)
+    }
+
+    /// Reconstruction error of each segment in `series`.
+    fn segment_errors(&self, series: &TimeSeries, starts: &[usize]) -> Vec<f32> {
+        let encoder = self.encoder.as_ref().expect("fitted");
+        let decoder = self.decoder.as_ref().expect("fitted");
+        let all: Vec<usize> = (0..starts.len()).collect();
+        let batch = gather_observations(&self.signatures(series, starts), &all);
         let mut tape = Tape::new();
         let x = tape.constant(batch.clone());
         let h = encoder.forward(&mut tape, &self.store, x);
@@ -217,28 +224,13 @@ impl Detector for Mscred {
             &mut rng,
         );
 
-        let starts = self.segment_starts(scaled.len());
-        let feat_len = f;
-        let mut features = vec![0.0f32; starts.len() * feat_len];
-        // Temporarily set encoder/decoder so `signature` has channels.
-        for (row, &s) in starts.iter().enumerate() {
-            // signature() needs &self.channels only
-            let mut buf = vec![0.0f32; feat_len];
-            self.signature(&scaled, s, &mut buf);
-            features[row * feat_len..(row + 1) * feat_len].copy_from_slice(&buf);
-        }
-
+        let features = self.signatures(&scaled, &self.segment_starts(scaled.len()));
         let mut opt = Adam::new(&self.store, self.cfg.learning_rate);
-        let mut order: Vec<usize> = (0..starts.len()).collect();
+        let mut order: Vec<usize> = (0..features.len()).collect();
         for _ in 0..self.cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.cfg.batch_size) {
-                let mut data = vec![0.0f32; chunk.len() * feat_len];
-                for (row, &i) in chunk.iter().enumerate() {
-                    data[row * feat_len..(row + 1) * feat_len]
-                        .copy_from_slice(&features[i * feat_len..(i + 1) * feat_len]);
-                }
-                let batch = Tensor::from_vec(data, &[chunk.len(), feat_len]);
+                let batch = gather_observations(&features, chunk);
                 let mut tape = Tape::new();
                 let x = tape.constant(batch.clone());
                 let h = encoder.forward(&mut tape, &self.store, x);

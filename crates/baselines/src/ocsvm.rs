@@ -4,7 +4,7 @@
 //! to learn the boundary of normal data points. We use a radial basis
 //! function kernel with ν = 0.5" (paper Section 4.1.2).
 //!
-//! **Substitution note** (`DESIGN.md` §2): instead of a dual SMO solver, the
+//! **Substitution note**: instead of a dual SMO solver, the
 //! RBF kernel is approximated with random Fourier features
 //! (Rahimi & Recht, 2007): `k(x, y) ≈ z(x)·z(y)` with
 //! `z(x) = √(2/R)·cos(Wx + b)`, `W ~ N(0, 2γ)`, `b ~ U[0, 2π)`. The primal

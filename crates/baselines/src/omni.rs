@@ -6,24 +6,19 @@
 //! per-window latent, OmniAnomaly keeps a **stochastic latent variable at
 //! every step**, coupled to a GRU deterministic path.
 //!
-//! **Substitution note** (`DESIGN.md` §2): the linear-Gaussian state-space
+//! **Substitution note**: the linear-Gaussian state-space
 //! transition and planar normalizing flows of the original are omitted;
 //! the retained core is the per-step reparameterized Gaussian latent
 //! `z_t = μ(h_t) + σ(h_t)·ε_t` feeding the per-step reconstruction, with
 //! per-step KL regularization.
 
-use crate::util::gather_windows;
+use crate::util::{for_each_batch, step_errors, step_observations, step_recon_loss, window_scores};
 use cae_autograd::{ParamStore, Tape, Var};
-use cae_data::{
-    num_windows, scoring::series_scores_from_window_errors, Detector, Scaler, TimeSeries,
-};
+use cae_data::{Detector, Scaler, TimeSeries};
 use cae_nn::{Activation, Adam, GruCell, Linear, Optimizer};
 use cae_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-const INFERENCE_BATCH: usize = 64;
 
 /// OmniAnomaly hyperparameters.
 #[derive(Clone, Debug)]
@@ -125,12 +120,7 @@ impl OmniNet {
         let mut recon = Vec::with_capacity(w);
         let mut stats = Vec::with_capacity(w);
         for t in 0..w {
-            let mut data = vec![0.0f32; b * d];
-            for bi in 0..b {
-                data[bi * d..(bi + 1) * d]
-                    .copy_from_slice(&batch.data()[(bi * w + t) * d..(bi * w + t + 1) * d]);
-            }
-            let x = tape.constant(Tensor::from_vec(data, &[b, d]));
+            let x = tape.constant(step_observations(batch, t));
             h = self.rnn.step(tape, store, x, h);
 
             // Per-step stochastic latent.
@@ -159,22 +149,9 @@ impl OmniNet {
     }
 
     fn window_errors(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
-        let (b, w, d) = (batch.dims()[0], batch.dims()[1], batch.dims()[2]);
         let mut tape = Tape::new();
         let (recon, _) = self.forward(&mut tape, store, batch, None);
-        let mut errors = vec![0.0f32; b * w];
-        for (t, &var) in recon.iter().enumerate() {
-            let out = tape.value(var);
-            for bi in 0..b {
-                let mut e = 0.0f32;
-                for di in 0..d {
-                    let diff = out.data()[bi * d + di] - batch.data()[(bi * w + t) * d + di];
-                    e += diff * diff;
-                }
-                errors[bi * w + t] = e;
-            }
-        }
-        errors
+        step_errors(&tape, &recon, batch)
     }
 }
 
@@ -227,43 +204,23 @@ impl Detector for OmniAnomaly {
         let mut store = ParamStore::new();
         let net = OmniNet::new(&mut store, &self.cfg, scaled.dim(), &mut rng);
 
-        let w = self.cfg.window;
-        let starts: Vec<usize> = (0..=scaled.len() - w)
-            .step_by(self.cfg.train_stride)
-            .collect();
-        let mut opt = Adam::new(&store, self.cfg.learning_rate);
-        let mut order: Vec<usize> = (0..starts.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch_size) {
-                let batch_starts: Vec<usize> = chunk.iter().map(|&i| starts[i]).collect();
-                let batch = gather_windows(&scaled, &batch_starts, w);
-                let b = batch.dims()[0];
-                let d = batch.dims()[2];
-                let noise = Tensor::rand_normal(&[w * b * self.cfg.latent], 0.0, 1.0, &mut rng);
-
+        let cfg = &self.cfg;
+        let mut opt = Adam::new(&store, cfg.learning_rate);
+        let (w, stride) = (cfg.window, cfg.train_stride);
+        for_each_batch(
+            &scaled,
+            w,
+            stride,
+            cfg.epochs,
+            cfg.batch_size,
+            &mut rng,
+            |batch, rng| {
+                let noise = Tensor::rand_normal(&[w * batch.dims()[0] * cfg.latent], 0.0, 1.0, rng);
                 let mut tape = Tape::new();
-                let (recon, stats) = net.forward(&mut tape, &store, &batch, Some(&noise));
+                let (recon, stats) = net.forward(&mut tape, &store, batch, Some(&noise));
 
                 // Reconstruction + per-step KL.
-                let mut loss_acc: Option<Var> = None;
-                for (t, &var) in recon.iter().enumerate() {
-                    let mut target = vec![0.0f32; b * d];
-                    for bi in 0..b {
-                        target[bi * d..(bi + 1) * d]
-                            .copy_from_slice(&batch.data()[(bi * w + t) * d..(bi * w + t + 1) * d]);
-                    }
-                    let target = Tensor::from_vec(target, &[b, d]);
-                    let step = tape.mse_loss(var, &target);
-                    loss_acc = Some(match loss_acc {
-                        Some(a) => tape.add(a, step),
-                        None => step,
-                    });
-                }
-                let mut loss = {
-                    let total = loss_acc.expect("non-empty window");
-                    tape.mul_scalar(total, 1.0 / w as f32)
-                };
+                let mut loss = step_recon_loss(&mut tape, &recon, batch);
                 for &(mu, logvar) in &stats {
                     // KL = −½ mean(1 + logσ² − μ² − σ²) per step.
                     let mu_sq = tape.square(mu);
@@ -272,42 +229,32 @@ impl Detector for OmniAnomaly {
                     let a = tape.sub(one_plus, mu_sq);
                     let bterm = tape.sub(a, var);
                     let mean = tape.mean_all(bterm);
-                    let kl = tape.mul_scalar(mean, -0.5 * self.cfg.kl_weight / w as f32);
+                    let kl = tape.mul_scalar(mean, -0.5 * cfg.kl_weight / w as f32);
                     loss = tape.add(loss, kl);
                 }
 
                 tape.backward(loss);
                 tape.accumulate_param_grads(&mut store);
-                store.clip_grad_norm(self.cfg.grad_clip);
+                store.clip_grad_norm(cfg.grad_clip);
                 opt.step(&mut store);
-            }
-        }
+            },
+        );
         self.net = Some((net, store));
     }
 
     fn score(&self, test: &TimeSeries) -> Vec<f32> {
         let (net, store) = self.net.as_ref().expect("score() before fit()");
         let scaled = self.scaler.as_ref().expect("fitted").transform(test);
-        let w = self.cfg.window;
-        assert!(scaled.len() >= w, "test series shorter than one window");
-        let n_win = num_windows(scaled.len(), w);
-        let mut errors = Vec::with_capacity(n_win * w);
-        let starts: Vec<usize> = (0..n_win).collect();
-        for chunk in starts.chunks(INFERENCE_BATCH) {
-            let batch = gather_windows(&scaled, chunk, w);
-            errors.extend(net.window_errors(store, &batch));
-        }
-        series_scores_from_window_errors(&errors, n_win, w)
+        window_scores(&scaled, self.cfg.window, |batch| {
+            net.window_errors(store, batch)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sine(len: usize) -> TimeSeries {
-        TimeSeries::univariate((0..len).map(|t| (t as f32 * 0.4).sin()).collect())
-    }
+    use crate::util::tests::sine;
 
     fn quick() -> OmniConfig {
         OmniConfig {

@@ -15,20 +15,13 @@
 //! connected RNN construction of the original paper. Scores are median
 //! per-observation reconstruction errors.
 
-use crate::util::gather_windows;
+use crate::util::{for_each_batch, step_errors, step_observations, step_recon_loss, window_scores};
 use cae_autograd::{ParamStore, Tape, Var};
-use cae_data::{
-    num_windows,
-    scoring::{median_scores, series_scores_from_window_errors},
-    Detector, Scaler, TimeSeries,
-};
+use cae_data::{scoring::median_scores, Detector, Scaler, TimeSeries};
 use cae_nn::{Activation, Adam, Linear, LstmCell, LstmState, Optimizer};
 use cae_tensor::{par, Tensor};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-const INFERENCE_BATCH: usize = 64;
 
 /// RAE hyperparameters.
 #[derive(Clone, Debug)]
@@ -122,22 +115,10 @@ impl RaeNet {
         assert_eq!(w, self.window, "window mismatch");
         assert_eq!(d, self.dim, "dim mismatch");
 
-        // Per-step (B, D) input slices (constants — no gradient needed).
-        let step_inputs: Vec<Tensor> = (0..w)
-            .map(|t| {
-                let mut data = vec![0.0f32; b * d];
-                for bi in 0..b {
-                    let src = &batch.data()[(bi * w + t) * d..(bi * w + t + 1) * d];
-                    data[bi * d..(bi + 1) * d].copy_from_slice(src);
-                }
-                Tensor::from_vec(data, &[b, d])
-            })
-            .collect();
-
-        // Encoder.
+        // Encoder, over per-step (B, D) input constants.
         let mut states = vec![self.encoder.zero_state(tape, b)];
-        for input in &step_inputs {
-            let x = tape.constant(input.clone());
+        for t in 0..w {
+            let x = tape.constant(step_observations(batch, t));
             let prev = self.previous_state(&states, states.len() - 1);
             states.push(self.encoder.step(tape, store, x, prev));
         }
@@ -162,22 +143,9 @@ impl RaeNet {
     /// Per-window, per-position squared errors for a `(B, w, D)` batch,
     /// `(B × w)` row-major.
     fn window_errors(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
-        let (b, w, d) = (batch.dims()[0], batch.dims()[1], batch.dims()[2]);
         let mut tape = Tape::new();
         let recon = self.forward(&mut tape, store, batch);
-        let mut errors = vec![0.0f32; b * w];
-        for (t, &var) in recon.iter().enumerate() {
-            let out = tape.value(var);
-            for bi in 0..b {
-                let mut e = 0.0f32;
-                for di in 0..d {
-                    let diff = out.data()[bi * d + di] - batch.data()[(bi * w + t) * d + di];
-                    e += diff * diff;
-                }
-                errors[bi * w + t] = e;
-            }
-        }
-        errors
+        step_errors(&tape, &recon, batch)
     }
 }
 
@@ -188,44 +156,28 @@ fn train_net(
     cfg: &RaeConfig,
     rng: &mut StdRng,
 ) {
-    let w = cfg.window;
-    let starts: Vec<usize> = (0..=scaled.len() - w).step_by(cfg.train_stride).collect();
     let mut opt = Adam::new(store, cfg.learning_rate);
-    let mut order: Vec<usize> = (0..starts.len()).collect();
     // One tape per net, cleared each batch: node storage cycles through
     // the scratch pool instead of the allocator.
     let mut tape = Tape::new();
-    for _ in 0..cfg.epochs {
-        order.shuffle(rng);
-        for chunk in order.chunks(cfg.batch_size) {
-            let batch_starts: Vec<usize> = chunk.iter().map(|&i| starts[i]).collect();
-            let batch = gather_windows(scaled, &batch_starts, w);
-            let (b, d) = (batch.dims()[0], batch.dims()[2]);
+    let (w, stride) = (cfg.window, cfg.train_stride);
+    for_each_batch(
+        scaled,
+        w,
+        stride,
+        cfg.epochs,
+        cfg.batch_size,
+        rng,
+        |batch, _| {
             tape.clear();
-            let recon = net.forward(&mut tape, store, &batch);
-            // Mean of per-step MSEs against the true observations.
-            let mut loss_acc: Option<Var> = None;
-            for (t, &var) in recon.iter().enumerate() {
-                let mut target = vec![0.0f32; b * d];
-                for bi in 0..b {
-                    target[bi * d..(bi + 1) * d]
-                        .copy_from_slice(&batch.data()[(bi * w + t) * d..(bi * w + t + 1) * d]);
-                }
-                let target = Tensor::from_vec(target, &[b, d]);
-                let step_loss = tape.mse_loss(var, &target);
-                loss_acc = Some(match loss_acc {
-                    Some(acc) => tape.add(acc, step_loss),
-                    None => step_loss,
-                });
-            }
-            let total = loss_acc.expect("window has at least one step");
-            let loss = tape.mul_scalar(total, 1.0 / w as f32);
+            let recon = net.forward(&mut tape, store, batch);
+            let loss = step_recon_loss(&mut tape, &recon, batch);
             tape.backward(loss);
             tape.accumulate_param_grads(store);
             store.clip_grad_norm(cfg.grad_clip);
             opt.step(store);
-        }
-    }
+        },
+    );
 }
 
 fn score_members(
@@ -235,17 +187,11 @@ fn score_members(
     w: usize,
 ) -> Vec<f32> {
     let scaled = scaler.transform(test);
+    // Checked here too, so a short series fails before the fan-out.
     assert!(scaled.len() >= w, "test series shorter than one window");
-    let n_win = num_windows(scaled.len(), w);
     let per_model: Vec<Vec<f32>> = par::map_indexed(members.len(), |m| {
         let (net, store) = &members[m];
-        let mut errors = Vec::with_capacity(n_win * w);
-        let starts: Vec<usize> = (0..n_win).collect();
-        for chunk in starts.chunks(INFERENCE_BATCH) {
-            let batch = gather_windows(&scaled, chunk, w);
-            errors.extend(net.window_errors(store, &batch));
-        }
-        series_scores_from_window_errors(&errors, n_win, w)
+        window_scores(&scaled, w, |batch| net.window_errors(store, batch))
     });
     median_scores(&per_model)
 }
@@ -436,10 +382,7 @@ impl Detector for RaeEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sine(len: usize) -> TimeSeries {
-        TimeSeries::univariate((0..len).map(|t| (t as f32 * 0.4).sin()).collect())
-    }
+    use crate::util::tests::sine;
 
     fn quick_rae_cfg() -> RaeConfig {
         RaeConfig {

@@ -8,18 +8,13 @@
 //! reconstruction MSE plus a KL regularizer against the standard normal
 //! prior.
 
-use crate::util::gather_windows;
+use crate::util::{for_each_batch, step_errors, step_observations, step_recon_loss, window_scores};
 use cae_autograd::{ParamStore, Tape, Var};
-use cae_data::{
-    num_windows, scoring::series_scores_from_window_errors, Detector, Scaler, TimeSeries,
-};
+use cae_data::{Detector, Scaler, TimeSeries};
 use cae_nn::{Activation, Adam, GruCell, Linear, Optimizer};
 use cae_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-const INFERENCE_BATCH: usize = 64;
 
 /// RNNVAE hyperparameters.
 #[derive(Clone, Debug)]
@@ -111,20 +106,6 @@ impl VaeNet {
         }
     }
 
-    fn step_inputs(batch: &Tensor) -> Vec<Tensor> {
-        let (b, w, d) = (batch.dims()[0], batch.dims()[1], batch.dims()[2]);
-        (0..w)
-            .map(|t| {
-                let mut data = vec![0.0f32; b * d];
-                for bi in 0..b {
-                    data[bi * d..(bi + 1) * d]
-                        .copy_from_slice(&batch.data()[(bi * w + t) * d..(bi * w + t + 1) * d]);
-                }
-                Tensor::from_vec(data, &[b, d])
-            })
-            .collect()
-    }
-
     /// Returns (per-step reconstructions in forward order, μ, log σ²).
     ///
     /// `noise` supplies the reparameterization draw; pass zeros for
@@ -138,12 +119,10 @@ impl VaeNet {
     ) -> (Vec<Var>, Var, Var) {
         let (b, w) = (batch.dims()[0], batch.dims()[1]);
         assert_eq!(w, self.window, "window mismatch");
-        let inputs = Self::step_inputs(batch);
-
         // Encoder GRU.
         let mut h = tape.constant(Tensor::zeros(&[b, self.encoder.hidden_size()]));
-        for input in &inputs {
-            let x = tape.constant(input.clone());
+        for t in 0..w {
+            let x = tape.constant(step_observations(batch, t));
             h = self.encoder.step(tape, store, x, h);
         }
 
@@ -180,24 +159,11 @@ impl VaeNet {
     }
 
     fn window_errors(&self, store: &ParamStore, batch: &Tensor) -> Vec<f32> {
-        let (b, w, d) = (batch.dims()[0], batch.dims()[1], batch.dims()[2]);
         let mut tape = Tape::new();
         // Deterministic scoring: zero noise uses the posterior mean.
-        let zeros = Tensor::zeros(&[b, self.latent]);
+        let zeros = Tensor::zeros(&[batch.dims()[0], self.latent]);
         let (recon, _, _) = self.forward(&mut tape, store, batch, &zeros);
-        let mut errors = vec![0.0f32; b * w];
-        for (t, &var) in recon.iter().enumerate() {
-            let out = tape.value(var);
-            for bi in 0..b {
-                let mut e = 0.0f32;
-                for di in 0..d {
-                    let diff = out.data()[bi * d + di] - batch.data()[(bi * w + t) * d + di];
-                    e += diff * diff;
-                }
-                errors[bi * w + t] = e;
-            }
-        }
-        errors
+        step_errors(&tape, &recon, batch)
     }
 }
 
@@ -250,70 +216,47 @@ impl Detector for RnnVae {
         let mut store = ParamStore::new();
         let net = VaeNet::new(&mut store, &self.cfg, scaled.dim(), &mut rng);
 
-        let w = self.cfg.window;
-        let starts: Vec<usize> = (0..=scaled.len() - w)
-            .step_by(self.cfg.train_stride)
-            .collect();
-        let mut opt = Adam::new(&store, self.cfg.learning_rate);
-        let mut order: Vec<usize> = (0..starts.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            order.shuffle(&mut rng);
-            for chunk in order.chunks(self.cfg.batch_size) {
-                let batch_starts: Vec<usize> = chunk.iter().map(|&i| starts[i]).collect();
-                let batch = gather_windows(&scaled, &batch_starts, w);
-                let b = batch.dims()[0];
-                let noise = Tensor::rand_normal(&[b, self.cfg.latent], 0.0, 1.0, &mut rng);
-
+        let cfg = &self.cfg;
+        let mut opt = Adam::new(&store, cfg.learning_rate);
+        let (w, stride) = (cfg.window, cfg.train_stride);
+        for_each_batch(
+            &scaled,
+            w,
+            stride,
+            cfg.epochs,
+            cfg.batch_size,
+            &mut rng,
+            |batch, rng| {
+                let noise = Tensor::rand_normal(&[batch.dims()[0], cfg.latent], 0.0, 1.0, rng);
                 let mut tape = Tape::new();
-                let (recon, mu, logvar) = net.forward(&mut tape, &store, &batch, &noise);
-                // Reconstruction term: mean of per-step MSEs.
-                let mut acc: Option<Var> = None;
-                for (t, &var) in recon.iter().enumerate() {
-                    let target = VaeNet::step_inputs(&batch)[t].clone();
-                    let step = tape.mse_loss(var, &target);
-                    acc = Some(match acc {
-                        Some(a) => tape.add(a, step),
-                        None => step,
-                    });
-                }
-                let rec_total = acc.expect("non-empty window");
-                let rec = tape.mul_scalar(rec_total, 1.0 / w as f32);
+                let (recon, mu, logvar) = net.forward(&mut tape, &store, batch, &noise);
+                let rec = step_recon_loss(&mut tape, &recon, batch);
                 let kl = net.kl(&mut tape, mu, logvar);
-                let kl_scaled = tape.mul_scalar(kl, self.cfg.kl_weight);
+                let kl_scaled = tape.mul_scalar(kl, cfg.kl_weight);
                 let loss = tape.add(rec, kl_scaled);
 
                 tape.backward(loss);
                 tape.accumulate_param_grads(&mut store);
-                store.clip_grad_norm(self.cfg.grad_clip);
+                store.clip_grad_norm(cfg.grad_clip);
                 opt.step(&mut store);
-            }
-        }
+            },
+        );
         self.net = Some((net, store));
     }
 
     fn score(&self, test: &TimeSeries) -> Vec<f32> {
         let (net, store) = self.net.as_ref().expect("score() before fit()");
         let scaled = self.scaler.as_ref().expect("fitted").transform(test);
-        let w = self.cfg.window;
-        assert!(scaled.len() >= w, "test series shorter than one window");
-        let n_win = num_windows(scaled.len(), w);
-        let mut errors = Vec::with_capacity(n_win * w);
-        let starts: Vec<usize> = (0..n_win).collect();
-        for chunk in starts.chunks(INFERENCE_BATCH) {
-            let batch = gather_windows(&scaled, chunk, w);
-            errors.extend(net.window_errors(store, &batch));
-        }
-        series_scores_from_window_errors(&errors, n_win, w)
+        window_scores(&scaled, self.cfg.window, |batch| {
+            net.window_errors(store, batch)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sine(len: usize) -> TimeSeries {
-        TimeSeries::univariate((0..len).map(|t| (t as f32 * 0.4).sin()).collect())
-    }
+    use crate::util::tests::sine;
 
     fn quick() -> RnnVaeConfig {
         RnnVaeConfig {

@@ -1,8 +1,8 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (Section 4); the mapping is indexed in `DESIGN.md`
-//! §4. Binaries accept `--scale quick|full` (default `quick`) and print the
+//! paper's evaluation (Section 4); the README's "Reproducing the paper's
+//! figures and tables" section lists them. Binaries accept `--scale quick|full` (default `quick`) and print the
 //! configuration they ran, so results are reproducible from the command
 //! line alone.
 

@@ -9,7 +9,7 @@ pub enum ReconstructionTarget {
     /// Reconstruct the embedded window X (paper Algorithm 1 line 13 /
     /// Section 3.1.5). The embedding output is treated as a constant
     /// target (stop-gradient) to rule out the degenerate
-    /// shrink-the-embedding shortcut; see `DESIGN.md` §2.6.
+    /// shrink-the-embedding shortcut.
     #[default]
     Embedded,
     /// Reconstruct the raw (z-scored) input window — exposed as an
@@ -142,7 +142,8 @@ pub struct EnsembleConfig {
     pub diversity_driven: bool,
     /// Stability guard: the −λK reward is skipped for a batch once
     /// `λ·K > diversity_cap · J`, keeping the otherwise unbounded objective
-    /// `J − λK` (Eq. 13) bounded below (see `DESIGN.md` §2). The paper
+    /// `J − λK` (Eq. 13) bounded below (see the stability guard in
+    /// `ensemble.rs`). The paper
     /// does not discuss this failure mode; 0.5 leaves the sweep range
     /// λ ∈ [1, 64] usable while preventing output-inflation divergence.
     pub diversity_cap: f32,

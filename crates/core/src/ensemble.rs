@@ -18,6 +18,12 @@ use std::path::Path;
 /// than the training batch).
 const INFERENCE_BATCH: usize = 64;
 
+/// One trained basic model: the network and its parameters.
+type Member = (Cae, ParamStore);
+
+/// Training loss trace: (model index, epoch, mean J, mean K) per epoch.
+type LossTrace = Vec<(usize, usize, f32, f32)>;
+
 /// Options controlling [`CaeEnsemble::refit`] — the online-adaptation
 /// re-training of an already-fitted ensemble on recent observations.
 #[derive(Clone, Debug)]
@@ -81,9 +87,8 @@ pub struct CaeEnsemble {
     model_cfg: CaeConfig,
     cfg: EnsembleConfig,
     scaler: Option<Scaler>,
-    members: Vec<(Cae, ParamStore)>,
-    /// Training loss trace: (model index, epoch, mean J, mean K).
-    loss_trace: Vec<(usize, usize, f32, f32)>,
+    members: Vec<Member>,
+    loss_trace: LossTrace,
 }
 
 impl std::fmt::Debug for CaeEnsemble {
@@ -137,7 +142,7 @@ impl CaeEnsemble {
 
     /// Trained members with their parameter stores (crate-internal; the
     /// streaming scorer runs them window-by-window).
-    pub(crate) fn members_internal(&self) -> &[(Cae, ParamStore)] {
+    pub(crate) fn members_internal(&self) -> &[Member] {
         &self.members
     }
 
@@ -170,12 +175,8 @@ impl CaeEnsemble {
     /// `(n_win × w × recon_dim)` buffer indexed by window position:
     /// `Some` enables the diversity-driven objective `J − λK` (Eq. 13)
     /// with the per-batch `λ` clamp, `None` trains on plain
-    /// reconstruction. This is the single training loop behind both
-    /// [`Detector::fit`] (anchor = running mean over previously trained
-    /// members) and [`CaeEnsemble::refit`] (anchor seeded with the live
-    /// ensemble's output); `fit` drives it with the exact RNG consumption
-    /// order of earlier releases, so fixed-seed training remains
-    /// bit-reproducible.
+    /// reconstruction. [`CaeEnsemble::train_chain`] runs it once per
+    /// member.
     #[allow(clippy::too_many_arguments)]
     fn train_member(
         cfg: &EnsembleConfig,
@@ -186,7 +187,7 @@ impl CaeEnsemble {
         anchor: Option<&[f32]>,
         epochs: usize,
         rng: &mut StdRng,
-        loss_trace: &mut Vec<(usize, usize, f32, f32)>,
+        loss_trace: &mut LossTrace,
         member_index: usize,
     ) {
         let w = model.config().window;
@@ -287,6 +288,94 @@ impl CaeEnsemble {
             }
             prev_epoch_j = epoch_j;
         }
+    }
+
+    /// Algorithm 1's member chain over the training windows of `scaled`:
+    /// `num_models` members trained in order, each folded into the
+    /// running ensemble output `F(X)` (Eq. 8) that later members
+    /// diversify against. Returns the members and the loss trace. This is
+    /// the one loop behind [`Detector::fit`] and both kinds of
+    /// [`CaeEnsemble::refit`].
+    ///
+    /// Cold (`warm` is `None`) is the offline chain: fresh Xavier init,
+    /// β-transfer from the previous member (Figure 9), and an empty anchor
+    /// so member 0 trains on plain reconstruction. Warm starts member `m`
+    /// from `warm[m]` and seeds the anchor with the mean reconstruction
+    /// of all of `warm` (one pseudo-member). The RNG is consumed in the
+    /// order of earlier releases, so fixed-seed training stays
+    /// bit-reproducible.
+    fn train_chain(
+        model_cfg: &CaeConfig,
+        cfg: &EnsembleConfig,
+        scaled: &TimeSeries,
+        warm: Option<&[Member]>,
+        num_models: usize,
+        epochs: usize,
+        seed: u64,
+    ) -> (Vec<Member>, LossTrace) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut loss_trace = Vec::new();
+        let w = model_cfg.window;
+        let starts: Vec<usize> = (0..=scaled.len() - w).step_by(cfg.train_stride).collect();
+        let diverse = cfg.diversity_driven && num_models > 1;
+        let mut mean_recon = vec![0.0f32; starts.len() * w * model_cfg.recon_dim()];
+        // Members folded into `mean_recon` so far (the pseudo-member too).
+        let mut anchored = 0usize;
+        if let (true, Some(live)) = (diverse, warm) {
+            let outputs: Vec<Vec<f32>> = par::map_indexed(live.len(), |m| {
+                let (model, store) = &live[m];
+                Self::reconstruct_all(model, store, scaled, &starts)
+            });
+            let inv = 1.0 / outputs.len() as f32;
+            for recon in &outputs {
+                for (mean, &r) in mean_recon.iter_mut().zip(recon.iter()) {
+                    *mean += r * inv;
+                }
+            }
+            anchored = 1;
+        }
+
+        let mut members: Vec<Member> = Vec::with_capacity(num_models);
+        for m in 0..num_models {
+            let (model, mut store) = match warm {
+                Some(live) => live[m].clone(),
+                None => {
+                    let mut store = ParamStore::new();
+                    let model = Cae::new(model_cfg.clone(), &mut store, &mut rng);
+                    if let (true, Some((_, prev_store))) = (diverse, members.last()) {
+                        transfer_fraction(prev_store, &mut store, cfg.beta, &mut rng);
+                    }
+                    (model, store)
+                }
+            };
+            Self::train_member(
+                cfg,
+                &model,
+                &mut store,
+                scaled,
+                &starts,
+                (anchored > 0).then_some(mean_recon.as_slice()),
+                epochs,
+                &mut rng,
+                &mut loss_trace,
+                m,
+            );
+
+            // Fold this member in, F ← (k·F + f_m) / (k+1) over the k
+            // members already there — only while a later member will read
+            // the anchor: with diversity off (or for the final member) the
+            // fold is a full inference pass nothing consumes.
+            if diverse && m + 1 < num_models {
+                let recon = Self::reconstruct_all(&model, &store, scaled, &starts);
+                let inv = 1.0 / (anchored + 1) as f32;
+                for (mean, &r) in mean_recon.iter_mut().zip(recon.iter()) {
+                    *mean += (r - *mean) * inv;
+                }
+                anchored += 1;
+            }
+            members.push((model, store));
+        }
+        (members, loss_trace)
     }
 
     /// Reconstruction of every listed window under one member, flattened
@@ -512,20 +601,7 @@ impl CaeEnsemble {
     pub fn refit(&self, recent: &TimeSeries, opts: &RefitOptions) -> CaeEnsemble {
         assert!(!self.members.is_empty(), "refit() before fit()");
         assert!(opts.epochs >= 1, "refit needs at least one epoch");
-        assert_eq!(
-            recent.dim(),
-            self.model_cfg.dim,
-            "recent series dim {} != configured {}",
-            recent.dim(),
-            self.model_cfg.dim
-        );
-        let w = self.model_cfg.window;
-        assert!(
-            recent.len() > w,
-            "recent series ({} observations) shorter than window + 1 ({})",
-            recent.len(),
-            w + 1
-        );
+        self.check_training_series(recent, "recent");
 
         // Scaler: fold the recent regime into the running statistics
         // (Welford partial fit), or keep the serving scaler bit-identical.
@@ -541,93 +617,39 @@ impl CaeEnsemble {
             }
             (s, _) => s.clone(),
         };
-        let scaled = match &scaler {
-            Some(s) => s.transform(recent),
-            None => recent.clone(),
-        };
-
-        let starts: Vec<usize> = (0..=scaled.len() - w)
-            .step_by(self.cfg.train_stride)
-            .collect();
-        let n_win = starts.len();
-        let rd = self.model_cfg.recon_dim();
-
-        let mut rng = StdRng::seed_from_u64(opts.seed);
         let mut new = CaeEnsemble {
-            model_cfg: self.model_cfg.clone(),
-            cfg: self.cfg.clone(),
             scaler,
-            members: Vec::with_capacity(self.members.len()),
-            loss_trace: Vec::new(),
+            ..CaeEnsemble::new(self.model_cfg.clone(), self.cfg.clone())
         };
-
-        // Diversity anchor F(X) over the recent windows. Warm start seeds
-        // it with the live ensemble's mean reconstruction (one
-        // pseudo-member); the cold baseline reproduces `fit` exactly: the
-        // anchor starts empty and member 0 trains on plain
-        // reconstruction. Either way each finished member folds in, so
-        // later members diversify against the re-fit ensemble as it
-        // grows.
-        let diverse = self.cfg.diversity_driven && self.members.len() > 1;
-        let mut mean_recon = vec![0.0f32; n_win * w * rd];
-        let mut anchored = 0usize;
-        if diverse && opts.warm_start {
-            let outputs: Vec<Vec<f32>> = par::map_indexed(self.members.len(), |m| {
-                let (model, store) = &self.members[m];
-                Self::reconstruct_all(model, store, &scaled, &starts)
-            });
-            let inv = 1.0 / outputs.len() as f32;
-            for recon in &outputs {
-                for (mean, &r) in mean_recon.iter_mut().zip(recon.iter()) {
-                    *mean += r * inv;
-                }
-            }
-            anchored = 1;
-        }
-
-        for m in 0..self.members.len() {
-            let (model, mut store) = if opts.warm_start {
-                let (live_model, live_store) = &self.members[m];
-                (live_model.clone(), live_store.clone())
-            } else {
-                let mut store = ParamStore::new();
-                let model = Cae::new(self.model_cfg.clone(), &mut store, &mut rng);
-                if diverse && m > 0 {
-                    let (_, prev_store) =
-                        new.members.last().expect("m > 0 implies a previous member");
-                    transfer_fraction(prev_store, &mut store, self.cfg.beta, &mut rng);
-                }
-                (model, store)
-            };
-            Self::train_member(
-                &self.cfg,
-                &model,
-                &mut store,
-                &scaled,
-                &starts,
-                (diverse && anchored > 0).then_some(mean_recon.as_slice()),
-                opts.epochs,
-                &mut rng,
-                &mut new.loss_trace,
-                m,
-            );
-
-            // Fold the re-fit member into the anchor — only while a later
-            // member will read it (with diversity off, or for the final
-            // member, the fold is a full inference pass nothing consumes).
-            if diverse && m + 1 < self.members.len() {
-                let recon = Self::reconstruct_all(&model, &store, &scaled, &starts);
-                let inv = 1.0 / (anchored + 1) as f32;
-                for (mean, &r) in mean_recon.iter_mut().zip(recon.iter()) {
-                    *mean += (r - *mean) * inv;
-                }
-                anchored += 1;
-            }
-
-            new.members.push((model, store));
-        }
-
+        let scaled = new.scale(recent);
+        (new.members, new.loss_trace) = Self::train_chain(
+            &self.model_cfg,
+            &self.cfg,
+            &scaled,
+            opts.warm_start.then_some(self.members.as_slice()),
+            self.members.len(),
+            opts.epochs,
+            opts.seed,
+        );
         new
+    }
+
+    /// Panics unless `series` (the `what` series, in the message) has the
+    /// configured dimensionality and more than one window.
+    fn check_training_series(&self, series: &TimeSeries, what: &str) {
+        let (dim, w) = (self.model_cfg.dim, self.model_cfg.window);
+        assert_eq!(
+            series.dim(),
+            dim,
+            "{what} series dim {} != configured {dim}",
+            series.dim()
+        );
+        assert!(
+            series.len() > w,
+            "{what} series ({} observations) shorter than window + 1 ({})",
+            series.len(),
+            w + 1
+        );
     }
 
     /// Reassembles an ensemble from decoded checkpoint parts (the loss
@@ -636,7 +658,7 @@ impl CaeEnsemble {
         model_cfg: CaeConfig,
         cfg: EnsembleConfig,
         scaler: Option<Scaler>,
-        members: Vec<(Cae, ParamStore)>,
+        members: Vec<Member>,
     ) -> Self {
         CaeEnsemble {
             model_cfg,
@@ -657,20 +679,7 @@ impl Detector for CaeEnsemble {
     /// models sequentially with parameter transfer and the
     /// diversity-driven objective.
     fn fit(&mut self, train: &TimeSeries) {
-        assert_eq!(
-            train.dim(),
-            self.model_cfg.dim,
-            "training series dim {} != configured {}",
-            train.dim(),
-            self.model_cfg.dim
-        );
-        let w = self.model_cfg.window;
-        assert!(
-            train.len() > w,
-            "training series ({} observations) shorter than window + 1 ({})",
-            train.len(),
-            w + 1
-        );
+        self.check_training_series(train, "training");
 
         // Pre-processing: re-scale, then split into windows (Section 3).
         self.scaler = if self.cfg.rescale {
@@ -680,57 +689,15 @@ impl Detector for CaeEnsemble {
         };
         let scaled = self.scale(train);
 
-        let starts: Vec<usize> = (0..=scaled.len() - w)
-            .step_by(self.cfg.train_stride)
-            .collect();
-        let n_win = starts.len();
-        let rd = self.model_cfg.recon_dim();
-
-        // Running ensemble output F(X) (Eq. 8) over all training windows,
-        // used as the diversity target for subsequent members.
-        let mut mean_recon = vec![0.0f32; n_win * w * rd];
-
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut members: Vec<(Cae, ParamStore)> = Vec::with_capacity(self.cfg.num_models);
-        self.loss_trace.clear();
-
-        for m in 0..self.cfg.num_models {
-            let mut store = ParamStore::new();
-            let model = Cae::new(self.model_cfg.clone(), &mut store, &mut rng);
-            let diverse = self.cfg.diversity_driven && m > 0;
-            if diverse {
-                let (_, prev_store) = members.last().expect("m > 0 implies a previous member");
-                transfer_fraction(prev_store, &mut store, self.cfg.beta, &mut rng);
-            }
-            Self::train_member(
-                &self.cfg,
-                &model,
-                &mut store,
-                &scaled,
-                &starts,
-                diverse.then_some(mean_recon.as_slice()),
-                self.cfg.epochs_per_model,
-                &mut rng,
-                &mut self.loss_trace,
-                m,
-            );
-
-            // Fold this member's reconstructions into the running mean
-            // F ← (m·F + f_m) / (m+1) — only while a later member will
-            // read the anchor: with diversity off (or for the final
-            // member) the fold is a full inference pass nothing consumes.
-            if self.cfg.diversity_driven && m + 1 < self.cfg.num_models {
-                let recon = Self::reconstruct_all(&model, &store, &scaled, &starts);
-                let inv = 1.0 / (m + 1) as f32;
-                for (mean, &r) in mean_recon.iter_mut().zip(recon.iter()) {
-                    *mean += (r - *mean) * inv;
-                }
-            }
-
-            members.push((model, store));
-        }
-
-        self.members = members;
+        (self.members, self.loss_trace) = Self::train_chain(
+            &self.model_cfg,
+            &self.cfg,
+            &scaled,
+            None,
+            self.cfg.num_models,
+            self.cfg.epochs_per_model,
+            self.cfg.seed,
+        );
     }
 
     /// Median outlier scores (Eq. 15) per test observation.
@@ -963,6 +930,34 @@ mod tests {
             .collect();
         assert!(!js.is_empty(), "no trace entries for epoch {epoch}");
         js.iter().sum::<f32>() / js.len() as f32
+    }
+
+    /// A cold re-fit on the training series, with the fit's seed, epochs
+    /// and scaler, is Algorithm 1 again: it must reproduce `fit` bit for
+    /// bit, loss trace and scores alike.
+    #[test]
+    fn cold_refit_reproduces_fit_bit_for_bit() {
+        let series = sine_series(160, 2);
+        let bits = |e: &CaeEnsemble| {
+            let trace = e
+                .loss_trace()
+                .iter()
+                .flat_map(|&(m, epoch, j, k)| [m as u32, epoch as u32, j.to_bits(), k.to_bits()]);
+            let scores = e.score(&series).into_iter().map(f32::to_bits);
+            trace.chain(scores).collect::<Vec<u32>>()
+        };
+        for rescale in [true, false] {
+            let (mc, ec) = tiny_configs(2);
+            let mut fitted = CaeEnsemble::new(mc, ec.rescale(rescale));
+            fitted.fit(&series);
+            let cfg = fitted.ensemble_config();
+            let opts = RefitOptions {
+                update_scaler: false,
+                ..RefitOptions::cold(cfg.epochs_per_model, cfg.seed)
+            };
+            let refit = fitted.refit(&series, &opts);
+            assert_eq!(bits(&refit), bits(&fitted), "rescale {rescale}");
+        }
     }
 
     #[test]

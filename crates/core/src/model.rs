@@ -317,7 +317,8 @@ impl Cae {
     /// forward pass already on the tape.
     pub fn target_tensor(&self, tape: &Tape, out: &CaeOutput, batch: &Tensor) -> Tensor {
         match self.cfg.target {
-            // Stop-gradient on the target side (see DESIGN.md §2.6).
+            // Stop-gradient on the target side (see
+            // `ReconstructionTarget::Embedded`).
             ReconstructionTarget::Embedded => tape.value(out.embedded).clone(),
             ReconstructionTarget::Raw => batch.clone(),
         }

@@ -124,16 +124,7 @@ pub mod wire {
     use std::io;
     use std::path::Path;
 
-    /// FNV-1a 64 over `bytes` — the integrity checksum every framed
-    /// artifact (checkpoint, fleet snapshot, journal frame) trails with.
-    pub fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
+    pub use cae_data::journal::fnv1a;
 
     /// The injected I/O failure a tripped persistence failpoint surfaces.
     pub fn injected_io(site: &str, stage: &str) -> PersistError {
@@ -225,11 +216,6 @@ pub mod wire {
         /// Appends raw bytes verbatim (no length prefix).
         pub fn raw(&mut self, bytes: &[u8]) {
             self.buf.extend_from_slice(bytes);
-        }
-
-        /// The frame body without a checksum.
-        pub fn into_bytes(self) -> Vec<u8> {
-            self.buf
         }
 
         /// Seals the frame: appends the FNV-1a 64 of everything written

@@ -1,8 +1,8 @@
 //! Outlier-score assembly (Eq. 14–15 and Figure 10).
 //!
 //! The implementations live in [`cae_data::scoring`] because every windowed
-//! baseline shares them; this module re-exports them under the names the
-//! paper mapping in `DESIGN.md` refers to:
+//! baseline shares them; this module re-exports them under the paper's
+//! names:
 //!
 //! * [`median`] / [`median_scores`] — Eq. 15, the ensemble's median
 //!   aggregation of per-model reconstruction errors (Eq. 14).

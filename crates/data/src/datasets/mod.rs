@@ -7,7 +7,8 @@
 //! ratio, temporal structure, and *interval-labelled* ground truth (whole
 //! anomalous windows are labelled although only a few observations inside
 //! deviate strongly, the property behind the paper's recall analysis in
-//! Figures 11–12). See `DESIGN.md` §2 for the full substitution rationale.
+//! Figures 11–12). Each generator's module documents what it stands in
+//! for.
 //!
 //! All generators are deterministic given `(Scale, seed)`.
 

@@ -59,7 +59,7 @@
 //! the same deterministic [`cae_chaos::Schedule`]s as every other site.
 
 use cae_chaos as chaos;
-use cae_obs::{Counter, Histogram, MetricsRegistry, ObsClock};
+use cae_obs::{Counter, CounterCell, Histogram, MetricsRegistry, ObsClock};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -79,10 +79,12 @@ const HEADER_LEN: u64 = 4 + 4 + 8;
 /// drive the reader into a huge allocation.
 const MAX_FRAME_BODY: u32 = 1 << 24;
 
-/// FNV-1a 64 — the per-frame integrity checksum (same function as the
-/// checkpoint format's trailing checksum; duplicated here because the
-/// data layer sits below `cae-core`).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes` — the integrity checksum every framed
+/// artifact trails with: each journal frame here, and the checkpoint,
+/// fleet snapshot and adaptation state through its re-export as
+/// `cae_core::persist::wire::fnv1a` (the data layer sits below
+/// `cae-core`, so the one implementation lives here).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -531,8 +533,6 @@ struct JournalObs {
     fsyncs: Counter,
     fsync_failures: Counter,
     rotations: Counter,
-    torn_tail_recoveries: Counter,
-    torn_tail_bytes: Counter,
 }
 
 impl JournalObs {
@@ -547,13 +547,7 @@ impl JournalObs {
             fsyncs: registry.counter("journal_fsyncs_total"),
             fsync_failures: registry.counter("journal_fsync_failures_total"),
             rotations: registry.counter("journal_rotations_total"),
-            torn_tail_recoveries: registry.counter("journal_torn_tail_recoveries_total"),
-            torn_tail_bytes: registry.counter("journal_torn_tail_bytes_total"),
         }
-    }
-
-    fn disabled() -> Self {
-        Self::new(&MetricsRegistry::disabled())
     }
 }
 
@@ -571,8 +565,11 @@ pub struct ObservationJournal {
     /// Byte length of the active segment's valid contents.
     offset: u64,
     appends_since_sync: u64,
+    /// Torn-tail recoveries performed at open (0 or 1): the journal's own
+    /// record, which a registry links.
+    torn_tail_recoveries: CounterCell,
     /// Bytes discarded from the final segment's torn tail at open.
-    truncated_bytes: u64,
+    torn_tail_bytes: CounterCell,
     /// Set when a failed append may have left a torn tail; all further
     /// appends are refused until a re-open truncates back to a frame
     /// boundary.
@@ -616,18 +613,7 @@ impl ObservationJournal {
         let Some((&last, sealed)) = indices.split_last() else {
             // Fresh journal: create segment 0.
             let (file, offset) = Self::create_segment(&dir, 0)?;
-            return Ok(ObservationJournal {
-                dir,
-                cfg,
-                file,
-                segment: 0,
-                first_segment: 0,
-                offset,
-                appends_since_sync: 0,
-                truncated_bytes: 0,
-                poisoned: false,
-                obs: JournalObs::disabled(),
-            });
+            return Ok(Self::resume(dir, cfg, file, 0, 0, offset, 0));
         };
         let first = indices[0];
 
@@ -651,62 +637,62 @@ impl ObservationJournal {
         // file and resume in the previous (sealed, fully valid) segment.
         let last_path = dir.join(segment_file_name(last));
         let bytes = std::fs::read(&last_path)?;
-        if bytes.len() < HEADER_LEN as usize && last > first {
+        let len = bytes.len() as u64;
+        if len < HEADER_LEN && last > first {
             std::fs::remove_file(&last_path)?;
             let active = last - 1;
             let path = dir.join(segment_file_name(active));
             let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
             let offset = file.seek(SeekFrom::End(0))?;
-            return Ok(ObservationJournal {
-                dir,
-                cfg,
-                file,
-                segment: active,
-                first_segment: first,
-                offset,
-                appends_since_sync: 0,
-                truncated_bytes: bytes.len() as u64,
-                poisoned: false,
-                obs: JournalObs::disabled(),
-            });
+            return Ok(Self::resume(dir, cfg, file, active, first, offset, len));
         }
-        if bytes.len() < HEADER_LEN as usize {
+        if len < HEADER_LEN {
             // Torn creation of the only segment: start it over.
             std::fs::remove_file(&last_path)?;
             let (file, offset) = Self::create_segment(&dir, last)?;
-            return Ok(ObservationJournal {
-                dir,
-                cfg,
-                file,
-                segment: last,
-                first_segment: first,
-                offset,
-                appends_since_sync: 0,
-                truncated_bytes: bytes.len() as u64,
-                poisoned: false,
-                obs: JournalObs::disabled(),
-            });
+            return Ok(Self::resume(dir, cfg, file, last, first, offset, len));
         }
-        let scan = scan_segment(&bytes, last)?;
-        let truncated = bytes.len() as u64 - scan.valid_len;
+        let valid = scan_segment(&bytes, last)?.valid_len;
         let mut file = OpenOptions::new().read(true).write(true).open(&last_path)?;
-        if truncated > 0 {
-            file.set_len(scan.valid_len)?;
+        if len > valid {
+            file.set_len(valid)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(scan.valid_len))?;
-        Ok(ObservationJournal {
+        file.seek(SeekFrom::Start(valid))?;
+        let torn = len - valid;
+        Ok(Self::resume(dir, cfg, file, last, first, valid, torn))
+    }
+
+    /// A journal appending to `file` (segment `segment`, at `offset`) after
+    /// an open that discarded `torn` bytes of torn tail.
+    fn resume(
+        dir: PathBuf,
+        cfg: JournalConfig,
+        file: File,
+        segment: u64,
+        first_segment: u64,
+        offset: u64,
+        torn: u64,
+    ) -> Self {
+        let (torn_tail_recoveries, torn_tail_bytes) =
+            (CounterCell::default(), CounterCell::default());
+        if torn > 0 {
+            torn_tail_recoveries.inc();
+            torn_tail_bytes.add(torn);
+        }
+        ObservationJournal {
             dir,
             cfg,
             file,
-            segment: last,
-            first_segment: first,
-            offset: scan.valid_len,
+            segment,
+            first_segment,
+            offset,
             appends_since_sync: 0,
-            truncated_bytes: truncated,
+            torn_tail_recoveries,
+            torn_tail_bytes,
             poisoned: false,
-            obs: JournalObs::disabled(),
-        })
+            obs: JournalObs::new(&MetricsRegistry::disabled()),
+        }
     }
 
     fn create_segment(dir: &Path, index: u64) -> Result<(File, u64), JournalError> {
@@ -740,32 +726,28 @@ impl ObservationJournal {
         }
     }
 
-    /// The position of the oldest record still on disk.
-    pub fn start_position(&self) -> JournalPosition {
-        JournalPosition {
-            segment: self.first_segment,
-            offset: HEADER_LEN,
-        }
-    }
-
     /// Bytes of torn tail discarded when this journal was opened (0 for
     /// a clean open).
     pub fn truncated_bytes(&self) -> u64 {
-        self.truncated_bytes
+        self.torn_tail_bytes.get()
     }
 
     /// Publishes this journal's telemetry into `registry` under
     /// `journal_*` names: append/fsync/rotation latency histograms plus
-    /// outcome counters. The torn-tail recovery this journal performed at
-    /// open (if any) is counted retroactively, so a registry attached
-    /// right after [`ObservationJournal::open`] sees the full crash
-    /// history. Without an attach every site costs one relaxed load.
+    /// outcome counters. The registry links the journal's torn-tail
+    /// record, so a registry attached any time after
+    /// [`ObservationJournal::open`] sees the crash recovery that open
+    /// performed. Without an attach every site costs one relaxed load.
     pub fn attach_observability(&mut self, registry: &MetricsRegistry) {
         self.obs = JournalObs::new(registry);
-        if self.truncated_bytes > 0 {
-            self.obs.torn_tail_recoveries.inc();
-            self.obs.torn_tail_bytes.add(self.truncated_bytes);
-        }
+        registry.link_counter(
+            "journal_torn_tail_recoveries_total",
+            self.torn_tail_recoveries.clone(),
+        );
+        registry.link_counter(
+            "journal_torn_tail_bytes_total",
+            self.torn_tail_bytes.clone(),
+        );
     }
 
     /// Appends one record, rotating segments as the size policy demands,

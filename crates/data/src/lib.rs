@@ -18,7 +18,7 @@
 //!   labels (used exclusively for evaluation, never for training);
 //! * [`datasets`] — seeded synthetic generators standing in for the five
 //!   real-world datasets of the paper's evaluation (ECG, SMD, MSL, SMAP,
-//!   WADI). See `DESIGN.md` §2 for the substitution rationale.
+//!   WADI); the module docs give the substitution rationale.
 //! * [`csv`] — plain-text I/O so users can run the detectors on their own
 //!   data.
 

@@ -2,10 +2,11 @@
 //!
 //! `cae-serve` reports stream-health and load-shedding counters,
 //! `cae-adapt` reports retry/backoff/fallback counters; merging the two
-//! gives operators one degradation summary per fleet. The struct lives
-//! here, beside the registry counters that mirror it, in the one crate
-//! both tiers already depend on, so neither tier has to depend on the
-//! other to share it.
+//! gives operators one degradation summary per fleet. Each tier fills
+//! its half from the same counter record its registry counters export.
+//! The struct lives here, beside the registry, in the one crate both
+//! tiers already depend on, so neither tier has to depend on the other
+//! to share it.
 
 /// Degradation counters across the serving and adaptation tiers.
 ///

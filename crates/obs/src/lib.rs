@@ -12,9 +12,12 @@
 //!   A disabled registry costs exactly one `Ordering::Relaxed` load per
 //!   site, the same discipline as `cae-chaos` failpoints, so
 //!   instrumentation can stay compiled into the hot paths.
+//! * [`CounterCell`] — a counter a tier owns as its own record and links
+//!   into a registry by name, so each count is kept in one place.
 //! * [`HealthReport`] — the degradation summary `cae-serve` and
 //!   `cae-adapt` fill in and merge: quarantines, load shedding, retries
-//!   and fallbacks across the tiers, mirrored by registry counters.
+//!   and fallbacks across the tiers, read from the same records the
+//!   registry exports.
 //! * [`MetricsSnapshot::to_json`] / [`MetricsSnapshot::to_prometheus`]
 //!   — deterministic exporters (stable ordering, pinned by golden
 //!   tests).
@@ -36,6 +39,6 @@ pub mod registry;
 pub use clock::{MockClock, ObsClock};
 pub use health::HealthReport;
 pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LatencyTimer, MetricsRegistry, MetricsSnapshot,
-    HISTOGRAM_BUCKETS,
+    Counter, CounterCell, Gauge, Histogram, HistogramSnapshot, LatencyTimer, MetricsRegistry,
+    MetricsSnapshot, HISTOGRAM_BUCKETS,
 };

@@ -41,45 +41,85 @@ struct Shared {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<&'static str, CounterSlot>,
-    gauges: BTreeMap<&'static str, GaugeSlot>,
+    /// Every cell exported under a name; the export is their sum. The
+    /// first cell is the one a [`Counter`] handle on that name writes.
+    counters: BTreeMap<&'static str, Vec<CounterCell>>,
+    gauges: BTreeMap<&'static str, GaugeCell>,
     histograms: BTreeMap<&'static str, Arc<HistogramCell>>,
     /// Tier enabled flags (e.g. `cae_tensor::obs::ENABLED`) that follow
     /// this registry's enable/disable transitions.
     flags: Vec<&'static AtomicBool>,
 }
 
-/// A counter is either owned by the registry or a link to a `static`
-/// cell maintained elsewhere (the cae-tensor dispatch counters).
-#[derive(Debug)]
-enum CounterSlot {
-    Owned(Arc<AtomicU64>),
-    Linked(&'static AtomicU64),
+/// One monotone counter cell. Clones share the cell.
+///
+/// A tier keeps its own counts in these (the fleet's fault counters, the
+/// journal's torn-tail counters) and [links](MetricsRegistry::link_counter)
+/// them into a registry, which reads them at snapshot time instead of
+/// counting the same events a second time. A cell is its tier's record,
+/// so it counts whatever the registry's enable flag says; only
+/// registry-owned [`Counter`] handles are gated. No method allocates.
+#[derive(Clone, Debug)]
+pub struct CounterCell {
+    kind: CellKind,
 }
 
-impl CounterSlot {
-    fn value(&self) -> u64 {
-        match self {
-            CounterSlot::Owned(cell) => cell.load(Ordering::Relaxed),
-            CounterSlot::Linked(cell) => cell.load(Ordering::Relaxed),
+#[derive(Clone, Debug)]
+enum CellKind {
+    Shared(Arc<AtomicU64>),
+    /// A `static` owned by another crate (the cae-tensor dispatch
+    /// counters).
+    Static(&'static AtomicU64),
+}
+
+impl CounterCell {
+    fn atomic(&self) -> &AtomicU64 {
+        match &self.kind {
+            CellKind::Shared(cell) => cell,
+            CellKind::Static(cell) => cell,
+        }
+    }
+
+    /// Adds 1.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        let cell = self.atomic();
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Overwrites the count with `v`: for a tier whose record is a plain
+    /// struct and is published into its cells whole.
+    #[inline]
+    pub fn set(&self, v: u64) {
+        let cell = self.atomic();
+        cell.store(v, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.atomic().load(Ordering::Relaxed)
+    }
+}
+
+impl Default for CounterCell {
+    /// A fresh cell at zero.
+    fn default() -> CounterCell {
+        CounterCell {
+            kind: CellKind::Shared(Arc::new(AtomicU64::new(0))),
         }
     }
 }
 
-/// A gauge is either owned by the registry (an `f64` stored as bits) or
-/// a link to a plain-integer `static` maintained elsewhere (the
-/// cae-tensor pool queue depth).
-#[derive(Debug)]
-enum GaugeSlot {
-    Owned(Arc<AtomicU64>),
-    Linked(&'static AtomicU64),
-}
-
-impl GaugeSlot {
-    fn value(&self) -> f64 {
-        match self {
-            GaugeSlot::Owned(cell) => f64::from_bits(cell.load(Ordering::Relaxed)),
-            GaugeSlot::Linked(cell) => cell.load(Ordering::Relaxed) as f64,
+impl From<&'static AtomicU64> for CounterCell {
+    fn from(cell: &'static AtomicU64) -> CounterCell {
+        CounterCell {
+            kind: CellKind::Static(cell),
         }
     }
 }
@@ -137,39 +177,38 @@ impl MetricsRegistry {
     }
 
     /// Registers (or re-opens) the counter `name` and returns a handle.
-    /// Repeated calls with one name share one cell.
+    /// Repeated calls with one name share one cell; on a
+    /// [linked](Self::link_counter) name the handle writes the first
+    /// linked cell.
     pub fn counter(&self, name: &'static str) -> Counter {
-        let mut inner = self.inner();
-        let slot = inner
+        let cell = self
+            .inner()
             .counters
             .entry(name)
-            .or_insert_with(|| CounterSlot::Owned(Arc::new(AtomicU64::new(0))));
-        let cell = match slot {
-            CounterSlot::Owned(cell) => cell.clone(),
-            // A linked name keeps its static cell; the handle writes
-            // there too so both views agree.
-            CounterSlot::Linked(cell) => {
-                let shared = self.shared.clone();
-                return Counter {
-                    shared,
-                    cell: CounterCell::Linked(cell),
-                };
-            }
-        };
+            .or_insert_with(|| vec![CounterCell::default()])[0]
+            .clone();
         Counter {
             shared: self.shared.clone(),
-            cell: CounterCell::Owned(cell),
+            cell,
         }
     }
 
-    /// Exports `cell` under `name`: the cell is owned by another crate
-    /// (a `static`, typically behind its own tier flag) and the registry
-    /// only reads it at snapshot time. Pair with [`Self::link_flag`] so
-    /// the tier starts/stops recording with this registry.
-    pub fn link_counter(&self, name: &'static str, cell: &'static AtomicU64) {
-        self.inner()
-            .counters
-            .insert(name, CounterSlot::Linked(cell));
+    /// Exports `cell` under `name`. The cell belongs to the tier that
+    /// counts into it — a `static` (typically behind its own tier flag;
+    /// pair with [`Self::link_flag`]) or a [`CounterCell`] — and the
+    /// registry only reads it at snapshot time. Several cells linked
+    /// under one name (two fleets on one registry) export their sum;
+    /// linking a cell that is already linked there changes nothing.
+    pub fn link_counter(&self, name: &'static str, cell: impl Into<CounterCell>) {
+        let cell = cell.into();
+        let mut inner = self.inner();
+        let cells = inner.counters.entry(name).or_default();
+        if !cells
+            .iter()
+            .any(|c| std::ptr::eq(c.atomic(), cell.atomic()))
+        {
+            cells.push(cell);
+        }
     }
 
     /// Ties a tier enabled flag to this registry: it is set to the
@@ -181,15 +220,12 @@ impl MetricsRegistry {
 
     /// Registers (or re-opens) the gauge `name`.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        let mut inner = self.inner();
-        let slot = inner
+        let cell = self
+            .inner()
             .gauges
             .entry(name)
-            .or_insert_with(|| GaugeSlot::Owned(Arc::new(AtomicU64::new(0.0f64.to_bits()))));
-        let cell = match slot {
-            GaugeSlot::Owned(cell) => GaugeCell::Owned(cell.clone()),
-            GaugeSlot::Linked(cell) => GaugeCell::Linked(cell),
-        };
+            .or_insert_with(|| GaugeCell::Owned(Arc::new(AtomicU64::new(0.0f64.to_bits()))))
+            .clone();
         Gauge {
             shared: self.shared.clone(),
             cell,
@@ -201,7 +237,7 @@ impl MetricsRegistry {
     /// [`Self::link_flag`] so the owning tier records only while this
     /// registry is enabled.
     pub fn link_gauge(&self, name: &'static str, cell: &'static AtomicU64) {
-        self.inner().gauges.insert(name, GaugeSlot::Linked(cell));
+        self.inner().gauges.insert(name, GaugeCell::Linked(cell));
     }
 
     /// Registers (or re-opens) the histogram `name`.
@@ -227,7 +263,7 @@ impl MetricsRegistry {
             counters: inner
                 .counters
                 .iter()
-                .map(|(name, slot)| (*name, slot.value()))
+                .map(|(name, cells)| (*name, cells.iter().map(CounterCell::get).sum()))
                 .collect(),
             gauges: inner
                 .gauges
@@ -249,13 +285,7 @@ impl Default for MetricsRegistry {
     }
 }
 
-#[derive(Debug, Clone)]
-enum CounterCell {
-    Owned(Arc<AtomicU64>),
-    Linked(&'static AtomicU64),
-}
-
-/// A monotone event counter.
+/// A monotone event counter owned by the registry.
 #[derive(Clone, Debug)]
 pub struct Counter {
     shared: Arc<Shared>,
@@ -275,27 +305,31 @@ impl Counter {
         if !self.shared.enabled.load(Ordering::Relaxed) {
             return;
         }
-        match &self.cell {
-            CounterCell::Owned(cell) => cell.fetch_add(n, Ordering::Relaxed),
-            CounterCell::Linked(cell) => cell.fetch_add(n, Ordering::Relaxed),
-        };
+        self.cell.add(n);
     }
 
-    /// Current value (reads even while disabled).
+    /// Current value of this handle's cell (reads even while disabled).
     pub fn value(&self) -> u64 {
-        match &self.cell {
-            CounterCell::Owned(cell) => cell.load(Ordering::Relaxed),
-            CounterCell::Linked(cell) => cell.load(Ordering::Relaxed),
-        }
+        self.cell.get()
     }
 }
 
+/// A gauge is either owned by the registry (an `f64` stored as bits) or
+/// a link to a plain-integer `static` maintained elsewhere (the
+/// cae-tensor pool queue depth).
 #[derive(Debug, Clone)]
 enum GaugeCell {
-    /// `f64` bits.
     Owned(Arc<AtomicU64>),
-    /// Plain integer, owned by another crate.
     Linked(&'static AtomicU64),
+}
+
+impl GaugeCell {
+    fn value(&self) -> f64 {
+        match self {
+            GaugeCell::Owned(cell) => f64::from_bits(cell.load(Ordering::Relaxed)),
+            GaugeCell::Linked(cell) => cell.load(Ordering::Relaxed) as f64,
+        }
+    }
 }
 
 /// A last-write-wins `f64` gauge (stored as bits in an `AtomicU64`;
@@ -322,10 +356,7 @@ impl Gauge {
 
     /// Current value (reads even while disabled).
     pub fn value(&self) -> f64 {
-        match &self.cell {
-            GaugeCell::Owned(cell) => f64::from_bits(cell.load(Ordering::Relaxed)),
-            GaugeCell::Linked(cell) => cell.load(Ordering::Relaxed) as f64,
-        }
+        self.cell.value()
     }
 }
 
@@ -608,6 +639,19 @@ mod tests {
 
         reg.disable();
         assert!(!FLAG.load(Ordering::Acquire), "flag follows disable");
+    }
+
+    #[test]
+    fn linked_tier_cells_export_their_sum_whatever_the_flag() {
+        let reg = MetricsRegistry::disabled();
+        let (a, b) = (CounterCell::default(), CounterCell::default());
+        reg.link_counter("faults_total", a.clone());
+        reg.link_counter("faults_total", b.clone());
+        reg.link_counter("faults_total", a.clone());
+        a.add(2);
+        b.inc();
+        assert_eq!(a.get(), 2, "a tier cell counts while the registry is off");
+        assert_eq!(reg.snapshot().counters, vec![("faults_total", 3)]);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 use cae_autograd::Tape;
 use cae_chaos as chaos;
 use cae_core::CaeEnsemble;
-use cae_obs::{Counter, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
+use cae_obs::{CounterCell, Gauge, HealthReport, Histogram, MetricsRegistry, ObsClock};
 use cae_tensor::{scratch, Tensor};
 use std::sync::Arc;
 
@@ -277,18 +277,11 @@ impl StreamSlot {
 fn escalate_fault(s: &mut StreamSlot, cfg: &HealthConfig) -> bool {
     s.consecutive_faults += 1;
     match s.state {
-        StreamHealth::Healthy => {
+        StreamHealth::Healthy | StreamHealth::Suspect => {
             if s.consecutive_faults >= cfg.suspect_after {
                 s.state = StreamHealth::Suspect;
             }
             // A single threshold can skip the Suspect stop-over entirely.
-            if s.consecutive_faults >= cfg.quarantine_after {
-                quarantine(s);
-                return true;
-            }
-            false
-        }
-        StreamHealth::Suspect => {
             if s.consecutive_faults >= cfg.quarantine_after {
                 quarantine(s);
                 return true;
@@ -316,21 +309,39 @@ fn quarantine(s: &mut StreamSlot) {
     s.reset();
 }
 
+/// Registry names of the fleet's lifetime event counts, indexed by the
+/// constants below. The counts live in `FleetDetector::counters`, the one
+/// record that [`FleetDetector::health_report`],
+/// [`FleetDetector::snapshot`] and every attached registry read: a
+/// registry links those cells by name instead of counting the same events
+/// again.
+const COUNTER_NAMES: [&str; 6] = [
+    "serve_quarantine_events_total",
+    "serve_recoveries_total",
+    "serve_faulty_observations_total",
+    "serve_shed_windows_total",
+    "serve_suppressed_scores_total",
+    "serve_ensemble_swaps_total",
+];
+const QUARANTINE_EVENTS: usize = 0;
+const RECOVERIES: usize = 1;
+const FAULTY_OBSERVATIONS: usize = 2;
+const SHED_WINDOWS: usize = 3;
+const SUPPRESSED_SCORES: usize = 4;
+/// Hot swaps, which is also the serving model's generation.
+const ENSEMBLE_SWAPS: usize = 5;
+
 /// Retained telemetry handles for one fleet (see the README's metric
 /// catalog). Every site costs one Relaxed load while the registry is
-/// disabled, so the default-disabled fleet pays no measurable tax.
+/// disabled, so the default-disabled fleet pays no measurable tax. The
+/// fleet's counters are not handles here: the registry links the fleet's
+/// own cells (see [`COUNTER_NAMES`]).
 #[derive(Debug)]
 struct ServeObs {
     clock: ObsClock,
     push_latency_ns: Histogram,
     tick_latency_ns: Histogram,
     batch_occupancy: Histogram,
-    quarantine_events: Counter,
-    recoveries: Counter,
-    faulty_observations: Counter,
-    shed_windows: Counter,
-    suppressed_scores: Counter,
-    ensemble_swaps: Counter,
     buffered_windows: Gauge,
     streams_live: Gauge,
     streams_healthy: Gauge,
@@ -340,18 +351,16 @@ struct ServeObs {
 }
 
 impl ServeObs {
-    fn new(registry: &MetricsRegistry) -> ServeObs {
+    /// Opens the fleet's handles in `registry` and links `counters` there.
+    fn new(registry: &MetricsRegistry, counters: &[CounterCell; 6]) -> ServeObs {
+        for (name, cell) in COUNTER_NAMES.into_iter().zip(counters) {
+            registry.link_counter(name, cell.clone());
+        }
         ServeObs {
             clock: ObsClock::monotonic(),
             push_latency_ns: registry.histogram("serve_push_latency_ns"),
             tick_latency_ns: registry.histogram("serve_tick_latency_ns"),
             batch_occupancy: registry.histogram("serve_batch_occupancy"),
-            quarantine_events: registry.counter("serve_quarantine_events_total"),
-            recoveries: registry.counter("serve_recoveries_total"),
-            faulty_observations: registry.counter("serve_faulty_observations_total"),
-            shed_windows: registry.counter("serve_shed_windows_total"),
-            suppressed_scores: registry.counter("serve_suppressed_scores_total"),
-            ensemble_swaps: registry.counter("serve_ensemble_swaps_total"),
             buffered_windows: registry.gauge("serve_buffered_windows"),
             streams_live: registry.gauge("serve_streams_live"),
             streams_healthy: registry.gauge("serve_streams_healthy"),
@@ -390,8 +399,6 @@ pub struct FleetDetector {
     /// Double buffer: the previous model generation, kept alive across
     /// one swap so in-flight readers of the old generation stay valid.
     retired: Option<Arc<CaeEnsemble>>,
-    /// Bumped on every [`FleetDetector::swap_ensemble`].
-    model_generation: u64,
     window: usize,
     dim: usize,
     slots: Vec<StreamSlot>,
@@ -409,11 +416,8 @@ pub struct FleetDetector {
     /// sheds load, so an unloaded fleet keeps strict slot order (and its
     /// bit-exact chunking).
     scan_from: usize,
-    quarantine_events: u64,
-    recoveries: u64,
-    faulty_observations: u64,
-    shed_windows: u64,
-    suppressed_scores: u64,
+    /// Lifetime event counts, indexed as [`COUNTER_NAMES`].
+    counters: [CounterCell; 6],
     obs: ServeObs,
 }
 
@@ -422,7 +426,7 @@ impl std::fmt::Debug for FleetDetector {
     /// buffers are summarized by their counts.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetDetector")
-            .field("model_generation", &self.model_generation)
+            .field("model_generation", &self.model_generation())
             .field("window", &self.window)
             .field("dim", &self.dim)
             .field("active_streams", &self.active)
@@ -477,10 +481,10 @@ impl FleetDetector {
         );
         let window = ensemble.model_config().window;
         let dim = ensemble.model_config().dim;
+        let counters: [CounterCell; 6] = Default::default();
         FleetDetector {
             ensemble,
             retired: None,
-            model_generation: 0,
             window,
             dim,
             slots: Vec::new(),
@@ -492,26 +496,19 @@ impl FleetDetector {
             health_cfg: health,
             tick_budget: usize::MAX,
             scan_from: 0,
-            quarantine_events: 0,
-            recoveries: 0,
-            faulty_observations: 0,
-            shed_windows: 0,
-            suppressed_scores: 0,
-            obs: ServeObs::new(registry),
+            obs: ServeObs::new(registry, &counters),
+            counters,
         }
     }
 
-    /// Re-homes this fleet's telemetry into `registry`, carrying the
-    /// lifetime fault counters over so the registry mirrors
-    /// [`FleetDetector::health_report`] from the attach point onward.
+    /// Re-homes this fleet's telemetry into `registry`: its histograms
+    /// and gauges record there from now on, and `registry` links the
+    /// fleet's counter cells, so its `serve_*_total` counters equal
+    /// [`FleetDetector::health_report`] (and the swap count) at once,
+    /// lifetime counts included. A registry attached earlier keeps
+    /// reading the same cells.
     pub fn attach_observability(&mut self, registry: &MetricsRegistry) {
-        self.obs = ServeObs::new(registry);
-        self.obs.quarantine_events.add(self.quarantine_events);
-        self.obs.recoveries.add(self.recoveries);
-        self.obs.faulty_observations.add(self.faulty_observations);
-        self.obs.shed_windows.add(self.shed_windows);
-        self.obs.suppressed_scores.add(self.suppressed_scores);
-        self.obs.ensemble_swaps.add(self.model_generation);
+        self.obs = ServeObs::new(registry, &self.counters);
     }
 
     /// The ensemble currently serving this fleet.
@@ -524,14 +521,14 @@ impl FleetDetector {
     /// be attributed to the model generation that produced them by
     /// reading this between ticks.
     pub fn model_generation(&self) -> u64 {
-        self.model_generation
+        self.counters[ENSEMBLE_SWAPS].get()
     }
 
     /// Number of hot swaps performed over this fleet's lifetime (equals
     /// [`FleetDetector::model_generation`]; exposed separately as the
     /// operational counter).
     pub fn swap_count(&self) -> u64 {
-        self.model_generation
+        self.model_generation()
     }
 
     /// The previous model generation, if a swap has happened — the second
@@ -580,9 +577,8 @@ impl FleetDetector {
             self.dim
         );
         self.retired = Some(std::mem::replace(&mut self.ensemble, next));
-        self.model_generation += 1;
-        self.obs.ensemble_swaps.inc();
-        self.model_generation
+        self.counters[ENSEMBLE_SWAPS].inc();
+        self.model_generation()
     }
 
     /// Window size `w` of the underlying model.
@@ -688,11 +684,9 @@ impl FleetDetector {
             return Err(PushError::UnknownStream);
         }
         if observation.len() != dim {
-            self.faulty_observations += 1;
-            self.obs.faulty_observations.inc();
+            self.counters[FAULTY_OBSERVATIONS].inc();
             if escalate_fault(s, &cfg) {
-                self.quarantine_events += 1;
-                self.obs.quarantine_events.inc();
+                self.counters[QUARANTINE_EVENTS].inc();
             }
             return Err(PushError::DimMismatch {
                 got: observation.len(),
@@ -713,11 +707,9 @@ impl FleetDetector {
 
         let non_finite = observation.iter().any(|v| !v.is_finite());
         if non_finite || s.flat_run >= cfg.flatline_after {
-            self.faulty_observations += 1;
-            self.obs.faulty_observations.inc();
+            self.counters[FAULTY_OBSERVATIONS].inc();
             if escalate_fault(s, &cfg) {
-                self.quarantine_events += 1;
-                self.obs.quarantine_events.inc();
+                self.counters[QUARANTINE_EVENTS].inc();
             }
             return Ok(PushOutcome::Discarded);
         }
@@ -742,8 +734,7 @@ impl FleetDetector {
         s.fresh = true;
         if s.state == StreamHealth::Recovering && s.filled == window {
             s.state = StreamHealth::Healthy;
-            self.recoveries += 1;
-            self.obs.recoveries.inc();
+            self.counters[RECOVERIES].inc();
         }
         Ok(PushOutcome::Stored)
     }
@@ -797,8 +788,7 @@ impl FleetDetector {
         }
         self.obs.buffered_windows.set(buffered as f64);
         if ready.len() > budget {
-            self.shed_windows += (ready.len() - budget) as u64;
-            self.obs.shed_windows.add((ready.len() - budget) as u64);
+            self.counters[SHED_WINDOWS].add((ready.len() - budget) as u64);
             // Unscored streams keep `fresh`; resume the scan at the first
             // one so repeated overload rotates fairly.
             self.scan_from = ready[budget];
@@ -839,11 +829,9 @@ impl FleetDetector {
                 } else {
                     // The window was finite but the model overflowed on
                     // it: suppress the score and charge the stream.
-                    self.suppressed_scores += 1;
-                    self.obs.suppressed_scores.inc();
+                    self.counters[SUPPRESSED_SCORES].inc();
                     if escalate_fault(s, &cfg) {
-                        self.quarantine_events += 1;
-                        self.obs.quarantine_events.inc();
+                        self.counters[QUARANTINE_EVENTS].inc();
                     }
                 }
             }
@@ -880,12 +868,13 @@ impl FleetDetector {
     /// `AdaptationController::health_report` (crate `cae-adapt`) for the
     /// full picture.
     pub fn health_report(&self) -> HealthReport {
+        let count = |i: usize| self.counters[i].get();
         let mut report = HealthReport {
-            quarantine_events: self.quarantine_events,
-            recoveries: self.recoveries,
-            faulty_observations: self.faulty_observations,
-            shed_windows: self.shed_windows,
-            suppressed_scores: self.suppressed_scores,
+            quarantine_events: count(QUARANTINE_EVENTS),
+            recoveries: count(RECOVERIES),
+            faulty_observations: count(FAULTY_OBSERVATIONS),
+            shed_windows: count(SHED_WINDOWS),
+            suppressed_scores: count(SUPPRESSED_SCORES),
             ..HealthReport::default()
         };
         for s in self.slots.iter().filter(|s| s.active) {
@@ -896,11 +885,7 @@ impl FleetDetector {
                 StreamHealth::Recovering => report.streams_recovering += 1,
             }
         }
-        let live = report.streams_healthy
-            + report.streams_suspect
-            + report.streams_quarantined
-            + report.streams_recovering;
-        self.obs.streams_live.set(live as f64);
+        self.obs.streams_live.set(self.active as f64);
         self.obs.streams_healthy.set(report.streams_healthy as f64);
         self.obs.streams_suspect.set(report.streams_suspect as f64);
         self.obs
@@ -942,19 +927,24 @@ mod tests {
     use cae_core::{CaeConfig, EnsembleConfig, StreamingDetector};
     use cae_data::{Detector, TimeSeries};
 
-    fn wave(t: usize, phase: f32) -> f32 {
+    pub(crate) fn wave(t: usize, phase: f32) -> f32 {
         (t as f32 * 0.3 + phase).sin()
     }
 
-    fn fitted_ensemble() -> Arc<CaeEnsemble> {
-        let series = TimeSeries::univariate((0..200).map(|t| wave(t, 0.0)).collect());
+    pub(crate) fn fitted_ensemble() -> Arc<CaeEnsemble> {
+        fitted_on(0.0, 23)
+    }
+
+    /// A small ensemble fitted on `wave` at `phase`, seeded with `seed`.
+    fn fitted_on(phase: f32, seed: u64) -> Arc<CaeEnsemble> {
+        let series = TimeSeries::univariate((0..200).map(|t| wave(t, phase)).collect());
         let mc = CaeConfig::new(1).embed_dim(8).window(8).layers(1);
         let ec = EnsembleConfig::new()
             .num_models(2)
             .epochs_per_model(2)
             .batch_size(16)
             .train_stride(2)
-            .seed(23);
+            .seed(seed);
         let mut ens = CaeEnsemble::new(mc, ec);
         ens.fit(&series);
         Arc::new(ens)
@@ -1135,17 +1125,7 @@ mod tests {
     /// A second fitted ensemble with the same architecture but different
     /// parameters (different seed ⇒ different members).
     fn fitted_ensemble_seed(seed: u64) -> Arc<CaeEnsemble> {
-        let series = TimeSeries::univariate((0..200).map(|t| wave(t, 0.2)).collect());
-        let mc = CaeConfig::new(1).embed_dim(8).window(8).layers(1);
-        let ec = EnsembleConfig::new()
-            .num_models(2)
-            .epochs_per_model(2)
-            .batch_size(16)
-            .train_stride(2)
-            .seed(seed);
-        let mut ens = CaeEnsemble::new(mc, ec);
-        ens.fit(&series);
-        Arc::new(ens)
+        fitted_on(0.2, seed)
     }
 
     #[test]

@@ -61,11 +61,12 @@
 //! dual-evaluation atomic write as the checkpoint, on the
 //! `snapshot.write` failpoint.
 
-use crate::{FleetDetector, HealthConfig, StreamHealth, StreamId, StreamSlot};
+use crate::{FleetDetector, HealthConfig, StreamHealth, StreamId, StreamSlot, ENSEMBLE_SWAPS};
 use cae_chaos as chaos;
 use cae_core::persist::wire::{self, Reader, Writer};
 use cae_core::{CaeEnsemble, PersistError};
 use cae_data::journal::{JournalPosition, JournalRecord};
+use cae_obs::CounterCell;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -89,15 +90,11 @@ const MAX_REASONABLE: usize = 1 << 20;
 pub struct FleetSnapshot {
     window: usize,
     dim: usize,
-    model_generation: u64,
+    /// The fleet's lifetime counts, indexed as [`crate::COUNTER_NAMES`].
+    counters: [u64; 6],
     next_generation: u64,
     tick_budget: usize,
     scan_from: usize,
-    quarantine_events: u64,
-    recoveries: u64,
-    faulty_observations: u64,
-    shed_windows: u64,
-    suppressed_scores: u64,
     health: HealthConfig,
     free: Vec<usize>,
     slots: Vec<StreamSlot>,
@@ -110,7 +107,7 @@ impl fmt::Debug for FleetSnapshot {
         f.debug_struct("FleetSnapshot")
             .field("window", &self.window)
             .field("dim", &self.dim)
-            .field("model_generation", &self.model_generation)
+            .field("model_generation", &self.model_generation())
             .field("slots", &self.slots.len())
             .field("journal_position", &self.journal_position)
             .field(
@@ -298,7 +295,7 @@ impl FleetSnapshot {
 
     /// Model generation the fleet was serving when snapshotted.
     pub fn model_generation(&self) -> u64 {
-        self.model_generation
+        self.counters[ENSEMBLE_SWAPS]
     }
 
     /// Live stream sessions captured in this snapshot.
@@ -311,15 +308,13 @@ impl FleetSnapshot {
         let mut w = Writer::framed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.usize(self.window);
         w.usize(self.dim);
-        w.u64(self.model_generation);
+        w.u64(self.counters[ENSEMBLE_SWAPS]);
         w.u64(self.next_generation);
         w.usize(self.tick_budget);
         w.usize(self.scan_from);
-        w.u64(self.quarantine_events);
-        w.u64(self.recoveries);
-        w.u64(self.faulty_observations);
-        w.u64(self.shed_windows);
-        w.u64(self.suppressed_scores);
+        for &count in &self.counters[..ENSEMBLE_SWAPS] {
+            w.u64(count);
+        }
         w.u32(self.health.suspect_after);
         w.u32(self.health.quarantine_after);
         w.u32(self.health.flatline_after);
@@ -376,15 +371,18 @@ impl FleetSnapshot {
                 )));
             }
         }
-        let model_generation = c.u64("model generation")?;
+        let swaps = c.u64("model generation")?;
         let next_generation = c.u64("next generation")?;
         let tick_budget = c.usize("tick budget")?;
         let scan_from = c.usize("scan cursor")?;
-        let quarantine_events = c.u64("quarantine events")?;
-        let recoveries = c.u64("recoveries")?;
-        let faulty_observations = c.u64("faulty observations")?;
-        let shed_windows = c.u64("shed windows")?;
-        let suppressed_scores = c.u64("suppressed scores")?;
+        let counters = [
+            c.u64("quarantine events")?,
+            c.u64("recoveries")?,
+            c.u64("faulty observations")?,
+            c.u64("shed windows")?,
+            c.u64("suppressed scores")?,
+            swaps,
+        ];
         let health = HealthConfig {
             suspect_after: c.u32("suspect threshold")?,
             quarantine_after: c.u32("quarantine threshold")?,
@@ -499,15 +497,10 @@ impl FleetSnapshot {
         Ok(FleetSnapshot {
             window,
             dim,
-            model_generation,
+            counters,
             next_generation,
             tick_budget,
             scan_from,
-            quarantine_events,
-            recoveries,
-            faulty_observations,
-            shed_windows,
-            suppressed_scores,
             health,
             free,
             slots,
@@ -542,15 +535,10 @@ impl FleetDetector {
         FleetSnapshot {
             window: self.window,
             dim: self.dim,
-            model_generation: self.model_generation,
+            counters: self.counters.each_ref().map(CounterCell::get),
             next_generation: self.next_generation,
             tick_budget: self.tick_budget,
             scan_from: self.scan_from,
-            quarantine_events: self.quarantine_events,
-            recoveries: self.recoveries,
-            faulty_observations: self.faulty_observations,
-            shed_windows: self.shed_windows,
-            suppressed_scores: self.suppressed_scores,
             health: self.health_cfg,
             free: self.free.clone(),
             slots: self.slots.clone(),
@@ -590,29 +578,18 @@ impl FleetDetector {
                 ensemble: dim,
             });
         }
-        let active = snapshot.slots.iter().filter(|s| s.active).count();
-        Ok(FleetDetector {
-            ensemble,
-            retired: None,
-            model_generation: snapshot.model_generation,
-            window,
-            dim,
-            slots: snapshot.slots.clone(),
-            free: snapshot.free.clone(),
-            next_generation: snapshot.next_generation,
-            active,
-            ready: Vec::new(),
-            scores: Vec::new(),
-            health_cfg: snapshot.health,
-            tick_budget: snapshot.tick_budget,
-            scan_from: snapshot.scan_from,
-            quarantine_events: snapshot.quarantine_events,
-            recoveries: snapshot.recoveries,
-            faulty_observations: snapshot.faulty_observations,
-            shed_windows: snapshot.shed_windows,
-            suppressed_scores: snapshot.suppressed_scores,
-            obs: crate::ServeObs::new(&cae_obs::MetricsRegistry::disabled()),
-        })
+        // Decode validated the health thresholds, so this cannot panic.
+        let mut fleet = FleetDetector::with_health(ensemble, snapshot.health);
+        fleet.slots = snapshot.slots.clone();
+        fleet.free = snapshot.free.clone();
+        fleet.next_generation = snapshot.next_generation;
+        fleet.active = snapshot.slots.iter().filter(|s| s.active).count();
+        fleet.tick_budget = snapshot.tick_budget;
+        fleet.scan_from = snapshot.scan_from;
+        for (cell, &count) in fleet.counters.iter().zip(&snapshot.counters) {
+            cell.set(count);
+        }
+        Ok(fleet)
     }
 
     /// Re-applies journaled records through the normal push/tick path,
@@ -705,26 +682,9 @@ impl FleetDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{fitted_ensemble, wave};
     use cae_core::{CaeConfig, EnsembleConfig};
     use cae_data::{Detector, TimeSeries};
-
-    fn wave(t: usize, phase: f32) -> f32 {
-        (t as f32 * 0.3 + phase).sin()
-    }
-
-    fn fitted_ensemble() -> Arc<CaeEnsemble> {
-        let series = TimeSeries::univariate((0..200).map(|t| wave(t, 0.0)).collect());
-        let mc = CaeConfig::new(1).embed_dim(8).window(8).layers(1);
-        let ec = EnsembleConfig::new()
-            .num_models(2)
-            .epochs_per_model(2)
-            .batch_size(16)
-            .train_stride(2)
-            .seed(23);
-        let mut ens = CaeEnsemble::new(mc, ec);
-        ens.fit(&series);
-        Arc::new(ens)
-    }
 
     /// A fleet with non-trivial state: three opened streams, one closed
     /// (free-list entry + retired generation), partial warm-ups, one
@@ -811,6 +771,90 @@ mod tests {
             );
         }
         assert_eq!(live.health_report(), restored.health_report());
+    }
+
+    /// The fleet's counters as `registry` exports them, indexed as
+    /// [`crate::COUNTER_NAMES`]; a name it does not export reads `u64::MAX`,
+    /// which no fleet count equals.
+    fn exported(registry: &cae_obs::MetricsRegistry) -> [u64; 6] {
+        let snapshot = registry.snapshot();
+        crate::COUNTER_NAMES.map(|name| {
+            snapshot
+                .counters
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(u64::MAX, |&(_, v)| v)
+        })
+    }
+
+    /// The same counts as the health report and swap count give them.
+    fn reported(fleet: &FleetDetector) -> [u64; 6] {
+        let r = fleet.health_report();
+        [
+            r.quarantine_events,
+            r.recoveries,
+            r.faulty_observations,
+            r.shed_windows,
+            r.suppressed_scores,
+            fleet.swap_count(),
+        ]
+    }
+
+    /// [`busy_fleet`] driven on through a recovery, load shedding and one
+    /// hot swap, so every counter but `suppressed_scores` is non-zero.
+    fn faulted_fleet(ens: &Arc<CaeEnsemble>) -> (FleetDetector, Vec<StreamId>) {
+        let (mut fleet, ids) = busy_fleet(ens);
+        fleet.set_tick_budget(1);
+        drive(&mut fleet, &ids, 30);
+        fleet.swap_ensemble(ens.clone());
+        let [quarantines, recoveries, faulty, shed, _, swaps] = reported(&fleet);
+        assert!(quarantines > 0 && recoveries > 0 && faulty > 0 && shed > 0 && swaps == 1);
+        (fleet, ids)
+    }
+
+    #[test]
+    fn registry_attached_after_faults_exports_the_health_report() {
+        let ens = fitted_ensemble();
+        let (mut fleet, ids) = faulted_fleet(&ens);
+        let registry = cae_obs::MetricsRegistry::new();
+        fleet.attach_observability(&registry);
+        assert_eq!(exported(&registry), reported(&fleet));
+        let _ = fleet.push(ids[0], &[f32::NAN]);
+        drive(&mut fleet, &ids, 5);
+        assert_eq!(exported(&registry), reported(&fleet), "after more faults");
+    }
+
+    #[test]
+    fn restored_fleet_exports_the_snapshotted_counts() {
+        let ens = fitted_ensemble();
+        let (mut live, ids) = faulted_fleet(&ens);
+        let mut restored = FleetDetector::restore(ens.clone(), &live.snapshot()).unwrap();
+        let registry = cae_obs::MetricsRegistry::new();
+        restored.attach_observability(&registry);
+        assert_eq!(exported(&registry), reported(&live));
+        drive(&mut live, &ids, 12);
+        drive(&mut restored, &ids, 12);
+        assert_eq!(exported(&registry), reported(&live));
+        assert_eq!(reported(&restored), reported(&live));
+    }
+
+    #[test]
+    fn fleets_sharing_a_registry_export_their_sum() {
+        let ens = fitted_ensemble();
+        let registry = cae_obs::MetricsRegistry::new();
+        let mut first =
+            FleetDetector::with_observability(ens.clone(), HealthConfig::default(), &registry);
+        let id = first.add_stream();
+        for _ in 0..8 {
+            let _ = first.push(id, &[f32::NAN]);
+        }
+        let (mut second, _) = faulted_fleet(&ens);
+        second.attach_observability(&registry);
+        second.attach_observability(&registry);
+        let (a, b) = (reported(&first), reported(&second));
+        assert!(a[0] > 0 && a[2] > 0, "the first fleet counted faults too");
+        let sum: Vec<u64> = a.iter().zip(b).map(|(x, y)| x + y).collect();
+        assert_eq!(exported(&registry).to_vec(), sum);
     }
 
     #[test]

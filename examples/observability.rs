@@ -97,7 +97,7 @@ fn main() {
     }
     journal.sync().expect("journal sync");
 
-    // 4. The registry mirrors the health report exactly — counters are
+    // 4. The registry equals the health report exactly — counters are
     //    an exact account of what was injected, not a sample.
     let report = fleet.health_report();
     let snapshot = registry.snapshot();

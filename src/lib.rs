@@ -22,8 +22,8 @@
 //!   serving tier publishes into;
 //! * [`nn`] / [`autograd`] / [`tensor`] — the neural substrate.
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` for the
-//! paper-to-code map.
+//! See `README.md` for a quickstart and its "Reproducing the paper's
+//! figures and tables" section for the paper-to-code map.
 
 pub use cae_adapt as adapt;
 pub use cae_autograd as autograd;
