@@ -298,31 +298,35 @@ impl AdaptationStats {
 
 /// What the background worker hands back.
 struct RefitReport {
-    /// The adapted ensemble and its own scores on the reservoir series
-    /// (for re-baselining the monitor) — or why every attempt failed.
+    /// The adapted ensemble and its finite scores on the reservoir series
+    /// (for re-baselining the monitor) — or why the re-fit failed: every
+    /// attempt failed, or the adapted model diverged.
     outcome: Result<(CaeEnsemble, Vec<f32>), String>,
     /// Attempts retried before the outcome was settled.
     refit_retries: u64,
     /// What [`write_checkpoint`] returned (`None` when no path is
-    /// configured or the re-fit itself failed).
+    /// configured or the re-fit failed).
     checkpoint: Option<(Result<(), CheckpointFailure>, u64, u64)>,
 }
 
-/// One supervised re-fit attempt: panics (the worker's own or one
-/// injected through the `adapt.refit` failpoint) are caught and
-/// converted into a retryable error.
+/// One supervised re-fit attempt: the re-fit and its scoring of the
+/// reservoir series. Panics (the worker's own, a NaN score reaching the
+/// median, or one injected through the `adapt.refit` failpoint) are
+/// caught and converted into a retryable error.
 fn attempt_refit(
     snapshot: &Arc<CaeEnsemble>,
     recent: &TimeSeries,
     opts: &RefitOptions,
-) -> Result<CaeEnsemble, String> {
+) -> Result<(CaeEnsemble, Vec<f32>), String> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if chaos::sites::ADAPT_REFIT.fire().is_some() {
             // cae-lint: allow(H1) — failure-path string on the refit
             // worker thread, never on the serving thread.
             return Err("chaos: injected re-fit failure".to_string());
         }
-        Ok(snapshot.refit(recent, opts))
+        let adapted = snapshot.refit(recent, opts);
+        let scores = adapted.score(recent);
+        Ok((adapted, scores))
     }));
     match caught {
         Ok(outcome) => outcome,
@@ -330,6 +334,25 @@ fn attempt_refit(
         // thread, never on the serving thread.
         Err(_) => Err("re-fit worker panicked".to_string()),
     }
+}
+
+/// Keeps the finite scores of a re-fit's reservoir scoring. An adapted
+/// model with *no* finite score on its own training reservoir has
+/// diverged outright — publishing it would replace a working model with
+/// one that emits NaN or ∞ for every stream, and since the monitor
+/// ignores non-finite scores it could never accumulate evidence against
+/// it. That is a failed re-fit, and it is not retried: the re-fit is
+/// deterministic.
+fn finite_baseline(scores: Vec<f32>) -> Result<Vec<f32>, String> {
+    // cae-lint: allow(H1) — once per completed re-fit (rare), on the
+    // worker thread; the band re-calibration consumes it.
+    let finite: Vec<f32> = scores.into_iter().filter(|s| s.is_finite()).collect();
+    if finite.is_empty() {
+        // cae-lint: allow(H1) — failure-path string on the refit worker
+        // thread, never on the serving thread.
+        return Err("re-fit diverged: no finite score".to_string());
+    }
+    Ok(finite)
 }
 
 /// Retrying checkpoint write with capped exponential backoff. Returns
@@ -630,14 +653,14 @@ impl AdaptationController {
                     refit_retries += 1;
                     outcome = attempt_refit(&snapshot, &recent, &cfg.refit);
                 }
-                // Score the reservoir and write the checkpoint while still
-                // off the serving thread: poll() then publishes without
-                // paying inference or disk I/O between ticks. `save`
-                // stages into a temp file and renames, so a crash
-                // mid-write can never destroy the previous checkpoint.
-                let outcome = outcome.map(|adapted| {
-                    let baseline = adapted.score(&recent);
-                    (adapted, baseline)
+                // Check for divergence and write the checkpoint while
+                // still off the serving thread: poll() then publishes
+                // without paying disk I/O between ticks, and a diverged
+                // model never reaches the disk. `save` stages into a temp
+                // file and renames, so a crash mid-write can never destroy
+                // the previous checkpoint.
+                let outcome = outcome.and_then(|(adapted, scores)| {
+                    finite_baseline(scores).map(|finite| (adapted, finite))
                 });
                 let checkpoint = match (&outcome, &cfg.checkpoint_path) {
                     (Ok((adapted, _)), Some(path)) => Some(write_checkpoint(adapted, path, &cfg)),
@@ -704,9 +727,10 @@ impl AdaptationController {
                 s.backoff_ms += backoff_ms;
             }
         });
-        let (adapted, baseline) = match report.outcome {
+        let (adapted, finite) = match report.outcome {
             Ok(pair) => pair,
-            // Every attempt failed: keep serving the last-good ensemble.
+            // Every attempt failed, or the adapted model diverged: keep
+            // serving the last-good ensemble.
             Err(_) => {
                 self.count(|s| s.refits_failed += 1);
                 return None;
@@ -727,22 +751,9 @@ impl AdaptationController {
             }
             None => {}
         }
-        // Re-calibrate the drift band to the adapted model, ignoring
-        // non-finite scores. An adapted model that produced *no* finite
-        // score on its own training reservoir has diverged outright —
-        // publishing it would replace a working model with one that
-        // emits NaN for every stream, and since the monitor ignores
-        // non-finite scores it could never accumulate evidence against
-        // it. Treat that as a failed re-fit instead; the last-good
-        // ensemble keeps serving.
-        // cae-lint: allow(H1) — once per *completed* re-fit (rare), and
-        // the band re-calibration consumes it immediately.
-        let finite: Vec<f32> = baseline.into_iter().filter(|s| s.is_finite()).collect();
-        if finite.is_empty() {
-            self.count(|s| s.refits_failed += 1);
-            return None;
-        }
         self.count(|s| s.refits_completed += 1);
+        // Re-calibrate the drift band to the adapted model's finite
+        // scores.
         self.monitor.rebaseline(&finite);
         self.was_drifted = false;
         let adapted = Arc::new(adapted);
@@ -983,30 +994,97 @@ mod tests {
     #[test]
     fn diverged_refit_counts_as_failed_in_stats_and_registry_alike() {
         let _guard = cae_chaos::exclusive();
+        let path = std::env::temp_dir().join(format!(
+            "cae_adapt_diverged_ckpt_{}.caee",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let (mut ctl, live, registry, frozen) = launched_on_huge(1.5e19, &path);
+        // The worker's (deterministic) re-fit, replayed: it scores +∞
+        // everywhere but never NaN, so scoring did not panic the attempt
+        // and the worker reached the divergence check.
+        let recent = ctl.reservoir().series();
+        let replayed = live.refit(&recent, &frozen).score(&recent);
+        assert!(replayed.iter().all(|&s| s == f32::INFINITY));
+        assert!(ctl.wait().is_none(), "a diverged re-fit must not publish");
+        assert!(Arc::ptr_eq(ctl.last_good_ensemble(), &live));
+        // The divergence check runs before the checkpoint write, so the
+        // diverged model never reaches the disk, and it is not retried.
+        assert!(!path.exists(), "a diverged model must not be checkpointed");
+        let stats = *ctl.stats();
+        assert_eq!((stats.refits_completed, stats.refits_failed), (0, 1));
+        assert_eq!((stats.checkpoints_written, stats.refit_retries), (0, 0));
+        assert_registry_matches_stats(&registry, &stats);
+    }
+
+    /// Larger observations than the diverged case make the re-fit's
+    /// reconstruction errors NaN, and the median of NaN scores panics.
+    /// The scoring runs inside the supervised attempt, so the panic is a
+    /// failed attempt: retried up to `refit_retries`, then counted as one
+    /// failed re-fit through the worker's outcome — not as a join error,
+    /// which would count the failure without the retries.
+    #[test]
+    fn nan_scoring_refit_is_retried_then_counted_as_failed() {
+        let _guard = cae_chaos::exclusive();
+        let path =
+            std::env::temp_dir().join(format!("cae_adapt_nan_ckpt_{}.caee", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (mut ctl, live, registry, frozen) = launched_on_huge(HUGE_NAN, &path);
+        // The worker's re-fit, replayed: its member scores hold NaN.
+        let recent = ctl.reservoir().series();
+        let replayed = live.refit(&recent, &frozen).member_scores(&recent);
+        assert!(replayed.iter().flatten().any(|s| s.is_nan()));
+        assert!(
+            ctl.wait().is_none(),
+            "a NaN-scoring re-fit must not publish"
+        );
+        assert!(Arc::ptr_eq(ctl.last_good_ensemble(), &live));
+        assert!(!path.exists(), "a failed re-fit must not be checkpointed");
+        let stats = *ctl.stats();
+        assert_eq!(stats.refit_retries, 2, "both retries consumed");
+        assert_eq!((stats.refits_completed, stats.refits_failed), (0, 1));
+        assert_eq!(stats.checkpoints_written, 0);
+        assert_registry_matches_stats(&registry, &stats);
+    }
+
+    const HUGE_NAN: f32 = 1e30;
+
+    /// A controller whose reservoir holds observations near `scale` under
+    /// a frozen serving scaler, with a re-fit (2 retries, checkpointing to
+    /// `path`) launched on them. Returns it with the live ensemble, its
+    /// registry and the re-fit options.
+    fn launched_on_huge(
+        scale: f32,
+        path: &std::path::Path,
+    ) -> (
+        AdaptationController,
+        Arc<CaeEnsemble>,
+        MetricsRegistry,
+        RefitOptions,
+    ) {
         let live = trained_on_regime_a();
         let registry = MetricsRegistry::new();
         let frozen = RefitOptions {
             update_scaler: false,
             ..RefitOptions::warm(1, 7)
         };
-        let cfg = small_cfg().refit(frozen.clone());
+        let cfg = small_cfg()
+            .refit(frozen.clone())
+            .refit_retries(2)
+            .checkpoint_path(path);
         let mut ctl = AdaptationController::with_observability(&live, &[0.01; 64], cfg, &registry);
         let mut started = false;
         for t in 0..120 {
-            let huge = 1.5e19 * (1.0 + 0.5 * (t as f32 * 0.3).sin());
+            let huge = scale * (1.0 + 0.5 * (t as f32 * 0.3).sin());
             started |= ctl.observe(&live, &[huge], 10.0);
         }
         assert!(started, "the drifted reservoir must launch a re-fit");
-        // The worker's (deterministic) re-fit, replayed: it scores +∞
-        // everywhere but never NaN, so scoring did not panic the worker
-        // and `finish` reached the divergence check.
-        let recent = ctl.reservoir().series();
-        let replayed = live.refit(&recent, &frozen).score(&recent);
-        assert!(replayed.iter().all(|&s| s == f32::INFINITY));
-        assert!(ctl.wait().is_none(), "a diverged re-fit must not publish");
-        assert!(Arc::ptr_eq(ctl.last_good_ensemble(), &live));
-        let stats = *ctl.stats();
-        assert_eq!((stats.refits_completed, stats.refits_failed), (0, 1));
+        (ctl, live, registry, frozen)
+    }
+
+    /// Every `adapt_*_total` counter in `registry` equals its
+    /// [`AdaptationStats`] field.
+    fn assert_registry_matches_stats(registry: &MetricsRegistry, stats: &AdaptationStats) {
         let snapshot = registry.snapshot();
         for (name, value) in AdaptationStats::NAMES.into_iter().zip(stats.values()) {
             assert!(

@@ -126,6 +126,42 @@ impl Tape {
                 self.accum(input, dx);
                 self.accum(kernel, dw);
             }
+            Op::Glu {
+                input,
+                value_params: (wv, bv),
+                gate_params: (wg, bg),
+                padding,
+                value,
+                gate,
+            } => {
+                let (input, wv, bv, wg, bg, padding) = (*input, *wv, *bv, *wg, *bg, *padding);
+                // The product rule, then σ′ on the gate branch.
+                let g_value = g.mul(gate);
+                let g_gate = g.mul(value);
+                let g_pre = Tensor::sigmoid_grad_from_output(gate, &g_gate);
+                g_gate.recycle();
+                let kernel = self.values[wv.0].dims().to_vec();
+                let gw = Tensor::conv1d_kernel_grad_stacked(
+                    &self.values[input.0],
+                    &[&g_value, &g_pre],
+                    kernel[2],
+                    padding,
+                );
+                let (gwv, gwg) = split_rows(gw, &kernel);
+                let dx_gate = Tensor::conv1d_input_grad(&g_pre, &self.values[wg.0], padding);
+                let dx_value = Tensor::conv1d_input_grad(&g_value, &self.values[wv.0], padding);
+                // The composed block's reverse order: the gate branch
+                // (bias, then conv) before the value branch, so `input`
+                // receives the gate's contribution first.
+                self.accum(bg, g_pre.sum_keep_channel());
+                self.accum(input, dx_gate);
+                self.accum(wg, gwg);
+                self.accum(bv, g_value.sum_keep_channel());
+                self.accum(input, dx_value);
+                self.accum(wv, gwv);
+                g_value.recycle();
+                g_pre.recycle();
+            }
             Op::AddBiasLast(x, bias) => {
                 let (x, bias) = (*x, *bias);
                 self.accum(x, g.clone());
@@ -228,6 +264,20 @@ impl Tape {
             }
         }
     }
+}
+
+/// Splits a tensor of two stacked `dims`-shaped halves (leading axis
+/// doubled) into the two halves.
+fn split_rows(stacked: Tensor, dims: &[usize]) -> (Tensor, Tensor) {
+    let mut first = stacked.into_vec();
+    let half = first.len() / 2;
+    let mut second = cae_tensor::scratch::take(half);
+    second.extend_from_slice(&first[half..]);
+    first.truncate(half);
+    (
+        Tensor::from_vec(first, dims),
+        Tensor::from_vec(second, dims),
+    )
 }
 
 #[cfg(test)]

@@ -390,4 +390,22 @@ fn grad_composite_glu_conv_block() {
         },
         3e-2,
     );
+
+    // The same block as one fused node, with biases, under both paddings.
+    let b1 = register(&mut store, "b1", &[3], &mut rng);
+    let b2 = register(&mut store, "b2", &[3], &mut rng);
+    for padding in [Padding::Same, Padding::Causal] {
+        check_grads(
+            &mut store,
+            |tape, store| {
+                let xv = tape.param(store, x);
+                let value = (tape.param(store, w1), tape.param(store, b1));
+                let gate = (tape.param(store, w2), tape.param(store, b2));
+                let glu = tape.glu(xv, value, gate, padding);
+                let sq = tape.square(glu);
+                tape.mean_all(sq)
+            },
+            3e-2,
+        );
+    }
 }

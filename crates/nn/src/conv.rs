@@ -190,11 +190,13 @@ impl GluConv1d {
         &self.gate_conv
     }
 
-    /// Applies the gated block on `(B, C, L)` data.
+    /// Applies the gated block on `(B, C, L)` data as one tape node
+    /// ([`Tape::glu`]).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let value = self.value_conv.forward(tape, store, x);
-        let gate = self.gate_conv.forward(tape, store, x);
-        tape.mul(value, gate)
+        let mut params =
+            |conv: &Conv1dLayer| (tape.param(store, conv.kernel), tape.param(store, conv.bias));
+        let (value, gate) = (params(&self.value_conv), params(&self.gate_conv));
+        tape.glu(x, value, gate, self.value_conv.padding)
     }
 }
 

@@ -22,14 +22,29 @@
 //! runs as a dense GEMM. On AVX2+FMA hosts that product goes through the
 //! packed 6×16 microkernel in [`crate::gemm`] — the weight matrix is
 //! packed once per call and each batch element packs its own window
-//! panels — and the kernel gradient becomes a single batch-fused GEMM of
-//! depth `B·L`. The portable fallback is the register-blocked
+//! panels. The portable fallback is the register-blocked
 //! 4-way-unrolled loop in this file, fusing **all** `K·C_in` taps of an
 //! output row into one accumulation pass (the previous per-tap
 //! shifted-axpy sweeps and their `if v == 0.0 { continue }` branches are
 //! gone). The input-gradient adjoint is the same GEMM against a
 //! channel-transposed, tap-reversed weight matrix. Batch elements
 //! parallelize over the persistent worker pool ([`crate::par`]).
+//!
+//! The kernel gradient `gW (C_out, C_in·K) = Σ_{b,t} G[b][·][t] ·
+//! X̃[b][·][t]ᵀ` is a single batch-fused GEMM of depth `B·L` on the packed
+//! path. Its B operand is gathered, not copied: element `(b·L + t,
+//! ci·K + j)` of the padded input sits at a row base `b·C_in·stride + t`
+//! plus a column offset `ci·stride + j`, so the packer computes a panel's
+//! 16 column offsets once and fills each depth row with one divmod and a
+//! 16-lane indexed read. Per-tap contiguous runs would be only `K` floats
+//! long, one copy call each. At the paper shape the kernel gradient
+//! then costs about what a forward convolution with the same madds does.
+//!
+//! [`Tensor::conv1d_stacked`] and [`Tensor::conv1d_kernel_grad_stacked`]
+//! stack several same-shape kernels along the output channels, as a GLU's
+//! value and gate kernels are: one GEMM forward and one kernel-gradient
+//! GEMM backward, each packing the input windows once, with every output
+//! element bit-identical to the per-kernel call's.
 //!
 //! The inference forward uses [`conv1d_folded_into`] instead: the same
 //! product over a batch-folded `(C, B·T)` input ([`Fold`]), one GEMM over
@@ -385,24 +400,40 @@ impl Tensor {
     /// 1-D convolution: input `(B, C_in, L)`, kernel `(C_out, C_in, K)` →
     /// output `(B, C_out, L)`.
     pub fn conv1d(&self, kernel: &Tensor, padding: Padding) -> Tensor {
+        self.conv1d_stacked(&[kernel], padding)
+    }
+
+    /// 1-D convolution with several same-shape kernels `(C_out, C_in, K)`
+    /// stacked along the output channels: input `(B, C_in, L)` → output
+    /// `(B, n·C_out, L)`, whose channels `i·C_out ..` of every batch
+    /// element hold `kernels[i] ⊗ x` bit for bit as [`Tensor::conv1d`]
+    /// computes it. The packed path runs one GEMM of `n·C_out` rows per
+    /// batch element, packing the input windows once; the packed-or-scalar
+    /// decision is taken on one kernel's madd count.
+    pub fn conv1d_stacked(&self, kernels: &[&Tensor], padding: Padding) -> Tensor {
         assert_eq!(self.rank(), 3, "conv1d input must be rank 3 (B, C, L)");
+        let first = kernels.first().expect("conv1d needs a kernel");
         assert_eq!(
-            kernel.rank(),
+            first.rank(),
             3,
             "conv1d kernel must be rank 3 (Cout, Cin, K)"
         );
+        assert!(
+            kernels.iter().all(|w| w.dims() == first.dims()),
+            "stacked conv1d kernels must share one shape"
+        );
         let (b, cin, l) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (cout, cin2) = (kernel.dims()[0], kernel.dims()[1]);
+        let (cout, cin2) = (first.dims()[0], first.dims()[1]);
         assert_eq!(
             cin, cin2,
             "conv1d channel mismatch: input {cin}, kernel {cin2}"
         );
-        assert!(kernel.dims()[2] >= 1, "conv1d kernel size must be >= 1");
-        let (k, x) = (kernel.dims()[2], self.data());
-        let pl = padding.left(k);
-        let mut out = scratch::take_full(b * cout * l);
+        assert!(first.dims()[2] >= 1, "conv1d kernel size must be >= 1");
+        let (k, x) = (first.dims()[2], self.data());
+        let (pl, rows) = (padding.left(k), kernels.len() * cout);
+        let mut out = scratch::take_full(b * rows * l);
         if out.is_empty() {
-            return Tensor::from_vec(out, &[b, cout, l]);
+            return Tensor::from_vec(out, &[b, rows, l]);
         }
         #[cfg(target_arch = "x86_64")]
         if gemm::enabled(cout * cin * k * l) {
@@ -410,31 +441,33 @@ impl Tensor {
             // accumulation), so the buffer needs no zeroing.
             gemm::conv_batch(
                 x,
-                &gemm::ARows {
-                    data: kernel.data(),
-                    ld: cin * k,
+                &gemm::AStacked {
+                    parts: kernels,
+                    rows: cout,
                 },
                 &mut out,
                 &gemm::ConvShape {
                     batches: b,
                     rows_in: cin,
-                    rows_out: cout,
+                    rows_out: rows,
                     k,
                     l,
                     pl,
                 },
             );
-            return Tensor::from_vec(out, &[b, cout, l]);
+            return Tensor::from_vec(out, &[b, rows, l]);
         }
-        // One GEMM per batch element; the kernel's (co, ci, j) layout
-        // already matches the X̃ row order (ci, j).
+        // One GEMM per batch element and kernel; the kernel's (co, ci, j)
+        // layout already matches the X̃ row order (ci, j).
         out.fill(0.0);
-        par::for_each_chunk(&mut out, cout * l, |bi, y| {
+        par::for_each_chunk(&mut out, rows * l, |bi, y| {
             let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-            conv_gemm(y, kernel.data(), &xpad, cout, cin, k, l);
+            for (w, y) in kernels.iter().zip(y.chunks_exact_mut(cout * l)) {
+                conv_gemm(y, w.data(), &xpad, cout, cin, k, l);
+            }
             scratch::recycle(xpad);
         });
-        Tensor::from_vec(out, &[b, cout, l])
+        Tensor::from_vec(out, &[b, rows, l])
     }
 
     /// Gradient of [`Tensor::conv1d`] with respect to its **input**.
@@ -519,24 +552,43 @@ impl Tensor {
         k: usize,
         padding: Padding,
     ) -> Tensor {
+        Self::conv1d_kernel_grad_stacked(input, &[grad_out], k, padding)
+    }
+
+    /// Kernel gradients of [`Tensor::conv1d_stacked`]: `grad_outs[i]` is
+    /// the `(B, C_out, L)` gradient of kernel `i`'s output channels, and
+    /// rows `i·C_out ..` of the `(n·C_out, C_in, K)` result hold that
+    /// kernel's gradient, bit for bit as [`Tensor::conv1d_kernel_grad`]
+    /// computes it. The packed path is one GEMM of `n·C_out` rows, which
+    /// pads and packs the input windows once.
+    pub fn conv1d_kernel_grad_stacked(
+        input: &Tensor,
+        grad_outs: &[&Tensor],
+        k: usize,
+        padding: Padding,
+    ) -> Tensor {
         assert_eq!(input.rank(), 3, "input must be rank 3");
-        assert_eq!(grad_out.rank(), 3, "grad_out must be rank 3");
+        let first = grad_outs.first().expect("kernel grad needs a grad_out");
+        assert_eq!(first.rank(), 3, "grad_out must be rank 3");
+        assert!(
+            grad_outs.iter().all(|g| g.dims() == first.dims()),
+            "stacked grad_outs must share one shape"
+        );
         let (b, cin, l) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-        let (b2, cout, l2) = (grad_out.dims()[0], grad_out.dims()[1], grad_out.dims()[2]);
+        let (b2, cout, l2) = (first.dims()[0], first.dims()[1], first.dims()[2]);
         assert_eq!(b, b2, "conv1d_kernel_grad batch mismatch");
         assert_eq!(l, l2, "conv1d_kernel_grad length mismatch");
-        let pl = padding.left(k);
+        let (pl, rows) = (padding.left(k), grad_outs.len() * cout);
 
         let x = input.data();
-        let g = grad_out.data();
         #[cfg(target_arch = "x86_64")]
         if l > 0 && gemm::enabled(b * l * cout * cin * k) {
             // `gemm` stores its first depth slab, so the output needs no
             // zeroing (the guards above ensure a non-empty contraction).
-            let mut gw = scratch::take_full(cout * cin * k);
+            let mut gw = scratch::take_full(rows * cin * k);
             gemm::conv_kernel_grad(
                 x,
-                g,
+                grad_outs,
                 &mut gw,
                 &gemm::ConvShape {
                     batches: b,
@@ -547,19 +599,22 @@ impl Tensor {
                     pl,
                 },
             );
-            return Tensor::from_vec(gw, &[cout, cin, k]);
+            return Tensor::from_vec(gw, &[rows, cin, k]);
         }
-        let mut gw = scratch::take_zeroed(cout * cin * k);
+        let mut gw = scratch::take_zeroed(rows * cin * k);
         par::for_each_chunk(&mut gw, k, |row, gw_row| {
-            let co = row / cin;
-            let ci = row % cin;
+            let (g, co, ci) = (
+                grad_outs[row / (cout * cin)].data(),
+                row / cin % cout,
+                row % cin,
+            );
             for bi in 0..b {
                 let x_row = &x[(bi * cin + ci) * l..(bi * cin + ci + 1) * l];
                 let g_row = &g[(bi * cout + co) * l..(bi * cout + co + 1) * l];
                 kernel_grad_row(gw_row, g_row, x_row, pl);
             }
         });
-        Tensor::from_vec(gw, &[cout, cin, k])
+        Tensor::from_vec(gw, &[rows, cin, k])
     }
 }
 

@@ -90,19 +90,22 @@ pub(crate) trait APanelSrc: Sync {
     fn pack_block(&self, k0: usize, kc: usize, i0: usize, h: usize, dst: &mut [f32]);
 }
 
-/// Read view of the B operand: fills `dst[j] = b[d][j0 + j]` for a depth
-/// slice `d` and column panel starting at `j0`.
+/// Read view of the B operand.
+///
+/// `pack_panel` packs columns `j0 .. j0+w` over depths `k0 .. k0+kc` into
+/// `dst` (length `kc*NR`, depth-major: depth row `d` occupies
+/// `dst[d*NR ..][..NR]`), zero-padding columns `w .. NR`.
 pub(crate) trait BPanelSrc: Sync {
-    fn fill(&self, d: usize, j0: usize, dst: &mut [f32]);
+    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]);
+}
 
-    /// Packs columns `j0 .. j0+w` over depths `k0 .. k0+kc` into `dst`
-    /// (length `kc*NR`, depth-major), zero-padding columns `w .. NR`.
-    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
-        for d in 0..kc {
-            let s = &mut dst[d * NR..][..NR];
-            self.fill(k0 + d, j0, &mut s[..w]);
-            s[w..].fill(0.0);
-        }
+/// Packs a panel whose depth row `d` is the contiguous run
+/// `src[start(d) ..][..w]` — the B views whose columns are contiguous.
+#[inline]
+fn pack_runs(src: &[f32], kc: usize, w: usize, dst: &mut [f32], start: impl Fn(usize) -> usize) {
+    for (d, row) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
+        row[..w].copy_from_slice(&src[start(d)..][..w]);
+        row[w..].fill(0.0);
     }
 }
 
@@ -168,11 +171,13 @@ impl APanelSrc for ACols<'_> {
     }
 }
 
-/// Batch-concatenated A for the kernel gradient: logical row `i` is the
-/// concatenation over batch elements of `data[(bi*rows + i)*l ..][..l]`,
-/// i.e. element `(i, d)` with `d = bi·l + t` reads `grad_out[bi][i][t]`.
+/// Batch-concatenated A for the kernel gradient: logical row `i` is row
+/// `i % rows` of the `(B, rows, l)` gradient `parts[i / rows]`,
+/// concatenated over batch elements — element `(i, d)` with
+/// `d = bi·l + t` reads `parts[i / rows][(bi·rows + i % rows)·l + t]`.
+/// Several parts stack into one operand, as [`AStacked`] does for weights.
 pub(crate) struct ABatchRows<'a> {
-    pub data: &'a [f32],
+    pub parts: &'a [&'a Tensor],
     pub rows: usize,
     pub l: usize,
 }
@@ -185,13 +190,17 @@ impl APanelSrc for ABatchRows<'_> {
             dst[h * kc..MR * kc].fill(0.0);
         }
         for r in 0..h {
+            let (data, i) = (
+                self.parts[(i0 + r) / self.rows].data(),
+                (i0 + r) % self.rows,
+            );
             let row = &mut dst[r * kc..][..kc];
             let mut d = 0;
             while d < kc {
                 let (bi, t) = ((k0 + d) / self.l, (k0 + d) % self.l);
                 let take = (self.l - t).min(kc - d);
                 row[d..d + take]
-                    .copy_from_slice(&self.data[(bi * self.rows + i0 + r) * self.l + t..][..take]);
+                    .copy_from_slice(&data[(bi * self.rows + i) * self.l + t..][..take]);
                 d += take;
             }
         }
@@ -205,10 +214,8 @@ pub(crate) struct BRows<'a> {
 }
 
 impl BPanelSrc for BRows<'_> {
-    #[inline]
-    fn fill(&self, d: usize, j0: usize, dst: &mut [f32]) {
-        let row = &self.data[d * self.ld + j0..][..dst.len()];
-        dst.copy_from_slice(row);
+    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
+        pack_runs(self.data, kc, w, dst, |d| (k0 + d) * self.ld + j0);
     }
 }
 
@@ -220,13 +227,6 @@ pub(crate) struct BColsT<'a> {
 }
 
 impl BPanelSrc for BColsT<'_> {
-    #[inline]
-    fn fill(&self, d: usize, j0: usize, dst: &mut [f32]) {
-        for (j, v) in dst.iter_mut().enumerate() {
-            *v = self.data[(j0 + j) * self.ld + d];
-        }
-    }
-
     /// Row-major traversal of the stored `(n, depth)` operand: contiguous
     /// reads, stride-`NR` writes.
     fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
@@ -253,10 +253,10 @@ pub(crate) struct BWindows<'a> {
 }
 
 impl BPanelSrc for BWindows<'_> {
-    #[inline]
-    fn fill(&self, d: usize, j0: usize, dst: &mut [f32]) {
-        let start = (d / self.k) * self.stride + (d % self.k) + j0;
-        dst.copy_from_slice(&self.pad[start..][..dst.len()]);
+    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
+        pack_runs(self.pad, kc, w, dst, |d| {
+            ((k0 + d) / self.k) * self.stride + (k0 + d) % self.k + j0
+        });
     }
 }
 
@@ -264,6 +264,11 @@ impl BPanelSrc for BWindows<'_> {
 /// `d = bi·l + t`, column `j = ci·k + jj`, element
 /// `xpad[bi][ci][t + jj]` (`xpad` rows carry the forward padding, so the
 /// tap offset is already folded in).
+///
+/// Element `(d, j)` sits at `base(d) + offset(j)`, with
+/// `base = bi·cin·stride + t` and `offset = ci·stride + jj`: neither
+/// part depends on the other index. The packer computes a panel's column
+/// offsets once, so a depth row costs one divmod and a 16-lane gather.
 pub(crate) struct BBatchWindows<'a> {
     pub pad: &'a [f32],
     pub stride: usize,
@@ -273,19 +278,21 @@ pub(crate) struct BBatchWindows<'a> {
 }
 
 impl BPanelSrc for BBatchWindows<'_> {
-    /// Segmented copies: consecutive `j` advance the tap `jj`
-    /// contiguously until a channel boundary, so the panel row splits
-    /// into at most `⌈NR/k⌉ + 1` slice copies instead of a divmod per
-    /// element.
-    fn fill(&self, d: usize, j0: usize, dst: &mut [f32]) {
-        let (bi, t) = (d / self.l, d % self.l);
-        let mut j = 0;
-        while j < dst.len() {
-            let (ci, jj) = ((j0 + j) / self.k, (j0 + j) % self.k);
-            let take = (self.k - jj).min(dst.len() - j);
-            let src = (bi * self.cin + ci) * self.stride + jj + t;
-            dst[j..j + take].copy_from_slice(&self.pad[src..src + take]);
-            j += take;
+    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
+        // Columns `w ..` gather offset 0 (in bounds) and are zeroed after.
+        let mut offsets = [0usize; NR];
+        for (j, o) in offsets[..w].iter_mut().enumerate() {
+            *o = (j0 + j) / self.k * self.stride + (j0 + j) % self.k;
+        }
+        // One batch element's padded rows hold every `t + offset`.
+        let batch = self.cin * self.stride;
+        for (d, row) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
+            let (bi, t) = ((k0 + d) / self.l, (k0 + d) % self.l);
+            let src = &self.pad[bi * batch + t..(bi + 1) * batch];
+            for (v, &o) in row.iter_mut().zip(&offsets) {
+                *v = src[o];
+            }
+            row[w..].fill(0.0);
         }
     }
 }
@@ -907,9 +914,17 @@ pub(crate) type PackPanel<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
 /// `gw (C_out × C_in·k) = Σ_{bi,t} grad_out[bi][·][t] · X̃[bi][·][t]ᵀ`,
 /// i.e. an `nt`-shaped product whose depth is the whole batch-time extent
 /// `B·L` — the deepest (and best-amortized) contraction in the backend.
-pub(crate) fn conv_kernel_grad(x: &[f32], g: &[f32], gw: &mut [f32], s: &ConvShape) {
+///
+/// Several output gradients of one input (`gs`, each `(B, C_out, L)`)
+/// stack into one GEMM of `gs.len()·C_out` rows: the input windows are
+/// padded and packed once, and row block `i` of `gw` is the gradient of
+/// kernel `i`. Every element is bit-identical to a separate call's,
+/// because a row's result depends only on its own A stream and the
+/// shared B panels.
+pub(crate) fn conv_kernel_grad(x: &[f32], gs: &[&Tensor], gw: &mut [f32], s: &ConvShape) {
     let (l, stride) = (s.l, s.stride());
-    debug_assert_eq!(gw.len(), s.rows_out * s.rows_in * s.k);
+    let m = gs.len() * s.rows_out;
+    debug_assert_eq!(gw.len(), m * s.rows_in * s.k);
     if l == 0 || s.batches == 0 {
         return;
     }
@@ -919,11 +934,11 @@ pub(crate) fn conv_kernel_grad(x: &[f32], g: &[f32], gw: &mut [f32], s: &ConvSha
         pad[r * stride + s.pl..r * stride + s.pl + l].copy_from_slice(&x[r * l..(r + 1) * l]);
     }
     gemm(
-        s.rows_out,
+        m,
         s.rows_in * s.k,
         s.batches * l,
         &ABatchRows {
-            data: g,
+            parts: gs,
             rows: s.rows_out,
             l,
         },

@@ -122,15 +122,26 @@ fn conv_kernels_bit_exact_across_thread_counts() {
     let x = rand_tensor(&[32, 16, 32], 11);
     let w = rand_tensor(&[16, 16, 3], 12);
     let g = rand_tensor(&[32, 16, 32], 13);
+    // Deep kernel gradients: B·L = 37·15 = 555 spans two depth slabs, the
+    // second starting mid-window; C_in·K = 7·k is never a multiple of the
+    // 16-column panel.
+    let xd = rand_tensor(&[37, 7, 15], 14);
+    let gd = rand_tensor(&[37, 10, 15], 15);
     assert_bit_exact_across_threads("conv kernels", || {
-        vec![
+        let mut outs = vec![
             x.conv1d(&w, Padding::Same).into_vec(),
             x.conv1d(&w, Padding::Causal).into_vec(),
             Tensor::conv1d_input_grad(&g, &w, Padding::Same).into_vec(),
             Tensor::conv1d_input_grad(&g, &w, Padding::Causal).into_vec(),
             Tensor::conv1d_kernel_grad(&x, &g, 3, Padding::Same).into_vec(),
             Tensor::conv1d_kernel_grad(&x, &g, 3, Padding::Causal).into_vec(),
-        ]
+        ];
+        for k in [1, 2, 5] {
+            for padding in [Padding::Same, Padding::Causal] {
+                outs.push(Tensor::conv1d_kernel_grad(&xd, &gd, k, padding).into_vec());
+            }
+        }
+        outs
     });
 }
 
