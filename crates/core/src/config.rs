@@ -140,27 +140,36 @@ pub struct EnsembleConfig {
     /// of Table 5: basic models train independently (λ = 0, no parameter
     /// transfer, different init seeds).
     pub diversity_driven: bool,
-    /// Stability guard: the −λK reward is skipped for a batch once
-    /// `λ·K > diversity_cap · J`, keeping the otherwise unbounded objective
-    /// `J − λK` (Eq. 13) bounded below (see the stability guard in
-    /// `ensemble.rs`). The paper
-    /// does not discuss this failure mode; 0.5 leaves the sweep range
+    /// Stability guard, a departure from Eq. 13. Per batch, the weight of
+    /// the −λK reward is clamped to `min(λ, λ/(λ+4) · diversity_cap ·
+    /// J / K)`, so the reward never exceeds a share of `J` and the
+    /// otherwise unbounded objective `J − λK` stays bounded below (see
+    /// the stability guard in `ensemble.rs`). The paper uses the fixed λ
+    /// and does not discuss this failure mode; 0.5 leaves the sweep range
     /// λ ∈ [1, 64] usable while preventing output-inflation divergence.
+    /// `f32::INFINITY` turns the clamp off.
     pub diversity_cap: f32,
-    /// Gradient L2-norm clip.
+    /// Gradient L2-norm clip, a departure from Algorithm 1: before each
+    /// Adam step, gradients whose global norm exceeds this are scaled
+    /// down to it. The paper trains with plain Adam and no clipping.
+    /// `f32::INFINITY` turns clipping off.
     pub grad_clip: f32,
-    /// Denoising-training noise level: Gaussian noise of this standard
-    /// deviation is added to the **inputs** of every training window while
-    /// the reconstruction target stays clean. Without it, the
-    /// over-complete embedding (D′ ≫ D) lets the network learn the
-    /// identity map and reconstruct in-range morphology anomalies
-    /// perfectly, which blinds the reconstruction error. 0 disables.
+    /// Denoising-training noise level, a departure from Algorithm 1:
+    /// Gaussian noise of this standard deviation is added to the
+    /// **inputs** of every training window while the reconstruction
+    /// target stays clean. The paper trains on the clean windows.
+    /// Without it, the over-complete embedding (D′ ≫ D) lets the network
+    /// learn the identity map and reconstruct in-range morphology
+    /// anomalies perfectly, which blinds the reconstruction error. 0
+    /// turns it off.
     pub denoise_std: f32,
-    /// Per-member early stopping: a member's epoch loop ends once its
-    /// epoch-mean reconstruction loss improves by less than this relative
-    /// tolerance (0 disables). This is the mechanism by which parameter
-    /// transfer reduces ensemble *training time* (paper Table 7):
-    /// warm-started members plateau after fewer epochs.
+    /// Per-member early stopping, a departure from Algorithm 1: a
+    /// member's epoch loop ends once its epoch-mean reconstruction loss
+    /// improves by less than this relative tolerance. The paper trains
+    /// every member for a fixed number of epochs. This is the mechanism
+    /// by which parameter transfer reduces ensemble *training time*
+    /// (paper Table 7): warm-started members plateau after fewer epochs.
+    /// 0 (the default) turns it off.
     pub early_stop_rel_tol: f32,
     /// Whether to z-score the series before windowing (the paper's
     /// pre-processing; off ⇒ the "No re-scaling" ablation of Table 5).

@@ -32,11 +32,6 @@ impl Tensor {
         unary(self, simd::relu)
     }
 
-    /// Elementwise leaky ReLU with slope `alpha` for negative inputs.
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        unary(self, |dst, src| simd::leaky_relu(dst, src, alpha))
-    }
-
     /// Backward of [`Tensor::sigmoid`] from its **output** `y` and the
     /// upstream gradient `g`: `g · y · (1 − y)`.
     pub fn sigmoid_grad_from_output(y: &Tensor, g: &Tensor) -> Tensor {
@@ -105,7 +100,6 @@ mod tests {
             1e-6,
         );
         assert_eq!(x.relu().data(), &[0.0, 0.0, 2.0]);
-        assert_close(x.leaky_relu(0.1).data(), &[-0.1, 0.0, 2.0], 1e-6);
     }
 
     #[test]

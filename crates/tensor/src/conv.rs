@@ -12,47 +12,47 @@
 //!   ("observations only to be seen in the future cannot be utilized",
 //!   Section 3.1.3).
 //!
-//! # Kernel strategy: implicit im2col GEMM
+//! # One engine: implicit im2col over a batch-folded input
 //!
-//! Each batch element's convolution is one dense matrix product
-//! `Y (C_out, L) = W (C_out, C_in·K) · X̃ (C_in·K, L)` where row `(ci, j)`
-//! of `X̃` is the zero-padded input row `ci` shifted by `j`. Because the
-//! padded row is materialized once per batch element, every row of `X̃` is
-//! just a contiguous window into it — no im2col copy is needed. The product
-//! runs as a dense GEMM. On AVX2+FMA hosts that product goes through the
-//! packed 6×16 microkernel in [`crate::gemm`] — the weight matrix is
-//! packed once per call and each batch element packs its own window
-//! panels. The portable fallback is the register-blocked
-//! 4-way-unrolled loop in this file, fusing **all** `K·C_in` taps of an
-//! output row into one accumulation pass (the previous per-tap
-//! shifted-axpy sweeps and their `if v == 0.0 { continue }` branches are
-//! gone). The input-gradient adjoint is the same GEMM against a
-//! channel-transposed, tap-reversed weight matrix. Batch elements
-//! parallelize over the persistent worker pool ([`crate::par`]).
+//! A convolution is one dense matrix product
+//! `Y (C_out, N) = W (C_out, C_in·K) · X̃ (C_in·K, N)`, where depth row
+//! `(ci, j)` of `X̃` is input channel `ci` shifted by tap `j` and zero
+//! outside the window. The engine runs it over a batch-folded input
+//! `(C_in, B·T)` ([`Fold`]): `N = B·T` columns, 16-wide panels that may
+//! span windows, and optionally only the output positions from a given
+//! start on. Its packer (`FoldedTaps`) builds each panel of `X̃`
+//! straight from the unpadded input, one fixed-width masked read per
+//! window a panel row touches, so nothing is padded or copied first.
+//!
+//! The engine takes the packed-or-scalar decision once per op. On
+//! AVX2+FMA hosts W is packed once and every panel goes through the
+//! packed 6×16 microkernel in [`crate::gemm`], the whole `C_in·K` depth in
+//! one pass. The portable arm materializes each panel of `X̃` and runs a
+//! four-tap-grouped row loop over it.
+//!
+//! Every convolution in the crate is a call of this engine:
+//!
+//! * [`conv1d_folded_into`], the scoring forward, folds the whole batch.
+//! * [`Tensor::conv1d_stacked`], the tape forward, runs each batch element
+//!   as a one-window fold `(C_in, 1·L)` against weights packed once, with
+//!   the elements in parallel over the worker pool ([`crate::par`]).
+//!   Stacked kernels (a GLU's value and gate) are one GEMM of `n·C_out`
+//!   rows, every output element bit-identical to the per-kernel call's.
+//! * [`Tensor::conv1d_input_grad`] is the same engine against the
+//!   channel-transposed, tap-reversed kernel with the left padding
+//!   mirrored to `K−1−pl`.
+//!
+//! Each element sees the same products in the same order on either side,
+//! so scoring and training agree bit for bit.
 //!
 //! The kernel gradient `gW (C_out, C_in·K) = Σ_{b,t} G[b][·][t] ·
-//! X̃[b][·][t]ᵀ` is a single batch-fused GEMM of depth `B·L` on the packed
-//! path. Its B operand is gathered, not copied: element `(b·L + t,
-//! ci·K + j)` of the padded input sits at a row base `b·C_in·stride + t`
-//! plus a column offset `ci·stride + j`, so the packer computes a panel's
-//! 16 column offsets once and fills each depth row with one divmod and a
-//! 16-lane indexed read. Per-tap contiguous runs would be only `K` floats
-//! long, one copy call each. At the paper shape the kernel gradient
-//! then costs about what a forward convolution with the same madds does.
-//!
-//! [`Tensor::conv1d_stacked`] and [`Tensor::conv1d_kernel_grad_stacked`]
-//! stack several same-shape kernels along the output channels, as a GLU's
-//! value and gate kernels are: one GEMM forward and one kernel-gradient
-//! GEMM backward, each packing the input windows once, with every output
-//! element bit-identical to the per-kernel call's.
-//!
-//! The inference forward uses [`conv1d_folded_into`] instead: the same
-//! product over a batch-folded `(C, B·T)` input ([`Fold`]), one GEMM over
-//! all `B·T` columns that may compute only the output positions from a
-//! given start on. Its panels span windows; its packer reads each
-//! window's part of a panel row with one fixed-width masked read, so a
-//! one-window panel costs what [`Tensor::conv1d`]'s per-window panel
-//! does.
+//! X̃[b][·][t]ᵀ` contracts over `B·L`, not `C_in·K`, so it is its own
+//! batch-fused GEMM ([`Tensor::conv1d_kernel_grad_stacked`]). Its B
+//! operand is gathered, not copied: element `(b·L + t, ci·K + j)` of the
+//! padded input sits at a row base `b·C_in·stride + t` plus a column
+//! offset `ci·stride + j`, so the packer computes a panel's 16 column
+//! offsets once and fills each depth row with one divmod and a 16-lane
+//! indexed read.
 
 #[cfg(target_arch = "x86_64")]
 use crate::gemm;
@@ -78,67 +78,6 @@ impl Padding {
         match self {
             Padding::Same => (k - 1) / 2,
             Padding::Causal => k - 1,
-        }
-    }
-}
-
-/// Copies the `rows × l` matrix `src` into a zeroed `rows × (l + k - 1)`
-/// buffer with `left` leading zeros per row, so that every shift
-/// `0..k` of a row is a contiguous in-bounds window.
-fn pad_rows(src: &[f32], rows: usize, l: usize, k: usize, left: usize) -> Vec<f32> {
-    let stride = l + k - 1;
-    let mut pad = scratch::take_zeroed(rows * stride);
-    for r in 0..rows {
-        pad[r * stride + left..r * stride + left + l].copy_from_slice(&src[r * l..(r + 1) * l]);
-    }
-    pad
-}
-
-/// `out (rows_out, l) += W (rows_out, rows_in·k) · X̃ (rows_in·k, l)`,
-/// where row `p = r·k + j` of `X̃` is the window `pad[r][j .. j + l]` of
-/// the padded matrix (`pad` rows have stride `l + k - 1`).
-///
-/// This is the whole convolution of one batch element as a single blocked
-/// GEMM: the `p` loop is unrolled four deep with independent FMAs, and the
-/// inner loop is a branch-free zip over equal-length slices.
-fn conv_gemm(
-    out: &mut [f32],
-    wmat: &[f32],
-    pad: &[f32],
-    rows_out: usize,
-    rows_in: usize,
-    k: usize,
-    l: usize,
-) {
-    let depth = rows_in * k;
-    let stride = l + k - 1;
-    debug_assert_eq!(out.len(), rows_out * l);
-    debug_assert_eq!(wmat.len(), rows_out * depth);
-    debug_assert_eq!(pad.len(), rows_in * stride);
-    let window = |p: usize| {
-        let start = (p / k) * stride + (p % k);
-        &pad[start..start + l]
-    };
-    for r in 0..rows_out {
-        let orow = &mut out[r * l..(r + 1) * l];
-        let wrow = &wmat[r * depth..(r + 1) * depth];
-        let mut p = 0;
-        while p + 4 <= depth {
-            let (w0, w1, w2, w3) = (wrow[p], wrow[p + 1], wrow[p + 2], wrow[p + 3]);
-            let b0 = window(p);
-            let b1 = window(p + 1);
-            let b2 = window(p + 2);
-            let b3 = window(p + 3);
-            for ((((o, &v0), &v1), &v2), &v3) in orow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                *o += w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3;
-            }
-            p += 4;
-        }
-        for pp in p..depth {
-            let wv = wrow[pp];
-            for (o, &v) in orow.iter_mut().zip(window(pp)) {
-                *o += wv * v;
-            }
         }
     }
 }
@@ -195,7 +134,7 @@ fn kernel_grad_row(gw_row: &mut [f32], g_row: &[f32], x_row: &[f32], pl: usize) 
     }
 }
 
-/// Columns per packed panel of [`conv1d_folded_into`] — the packed GEMM
+/// Columns per packed panel of the convolution engine — the packed GEMM
 /// core's `NR`, used by the scalar arm too.
 pub(crate) const PANEL: usize = 16;
 
@@ -291,6 +230,110 @@ impl FoldedTaps<'_> {
     }
 }
 
+/// The convolution engine: `out (n·C_out, N) = W · X̃` over the columns
+/// of a [`FoldedTaps`], where W stacks the row-major `(C_out, C_in·K)`
+/// matrices `parts` along the output rows.
+///
+/// The packed-or-scalar decision is taken once, when the engine is built,
+/// and on the packed arm W is packed once for every fold the engine runs.
+struct ConvEngine<'a> {
+    parts: &'a [&'a Tensor],
+    rows: usize,
+    depth: usize,
+    #[cfg(target_arch = "x86_64")]
+    packed: Option<Vec<f32>>,
+}
+
+impl<'a> ConvEngine<'a> {
+    /// `parts` hold `rows` rows of `depth` each; `madds` is the count the
+    /// dispatch decision is taken on.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn new(parts: &'a [&'a Tensor], rows: usize, depth: usize, madds: usize) -> Self {
+        ConvEngine {
+            parts,
+            rows,
+            depth,
+            #[cfg(target_arch = "x86_64")]
+            packed: gemm::enabled(madds).then(|| {
+                let a = gemm::AStacked { parts, rows };
+                gemm::pack_a(parts.len() * rows, depth, &a)
+            }),
+        }
+    }
+
+    /// `out` `(n·C_out, N)` for the columns of `taps`; `out` needs no
+    /// initialization.
+    fn run(&self, taps: &FoldedTaps<'_>, out: &mut [f32]) {
+        let (m, n, depth) = (self.parts.len() * self.rows, taps.output.cols(), self.depth);
+        debug_assert_eq!(taps.cin * taps.k, depth);
+        debug_assert_eq!(out.len(), m * n);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(pa) = &self.packed {
+            gemm::gemm_panels(m, n, depth, pa, &|j0, w, dst| taps.pack(j0, w, dst), out);
+            return;
+        }
+        // Scalar arm: per panel, materialize X̃ and run each output row
+        // with the four-tap grouping of `matmul::matmul_into`.
+        let base = par::SyncMutPtr(out.as_mut_ptr());
+        let panels = n.div_ceil(PANEL);
+        let run_panel = |jp: usize| {
+            let j0 = jp * PANEL;
+            let width = PANEL.min(n - j0);
+            let mut cols = scratch::take_full(depth * PANEL);
+            taps.pack(j0, width, &mut cols);
+            for r in 0..m {
+                let wrow = &self.parts[r / self.rows].data()[r % self.rows * depth..][..depth];
+                let mut acc = [0.0f32; PANEL];
+                matmul::matmul_into(wrow, &cols, &mut acc, 1, depth, PANEL);
+                let at = r * n + j0;
+                // SAFETY: row `r` < m and columns `j0 .. j0 + width` ≤ n
+                // lie inside `out`; no other panel writes these columns,
+                // and `for_each_index` returns only after every panel is
+                // done.
+                let orow = unsafe { std::slice::from_raw_parts_mut(base.get().add(at), width) };
+                orow.copy_from_slice(&acc[..width]);
+            }
+            scratch::recycle(cols);
+        };
+        if par::threads() > 1 && out.len() >= par::PAR_THRESHOLD && panels > 1 {
+            par::for_each_index(panels, run_panel);
+        } else {
+            for jp in 0..panels {
+                run_panel(jp);
+            }
+        }
+    }
+
+    /// Runs each batch element of the `(B, C_in, l)` input `x` as the
+    /// one-window fold `(C_in, 1·l)` into its `(n·C_out, l)` chunk of
+    /// `out`, the elements in parallel over the pool.
+    fn run_windows(&self, x: &[f32], l: usize, k: usize, pl: usize, out: &mut [f32]) {
+        let (cin, fold) = (self.depth / k, Fold::full(1, l));
+        par::for_each_chunk(out, self.parts.len() * self.rows * l, |bi, y| {
+            // The input from this element on: the packer masks off
+            // whatever its fixed-width reads see past the window.
+            let taps = FoldedTaps {
+                x: &x[bi * cin * l..],
+                input: fold,
+                output: fold,
+                cin,
+                k,
+                pl,
+            };
+            self.run(&taps, y);
+        });
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Drop for ConvEngine<'_> {
+    fn drop(&mut self) {
+        if let Some(pa) = self.packed.take() {
+            scratch::recycle(pa);
+        }
+    }
+}
+
 /// Convolution of a batch-folded input `x` `(C_in, B·T_in)` (see
 /// [`Fold`]) with several same-shape kernels `(C_out, C_in, K)` stacked
 /// along the output channels, computing only output positions
@@ -298,12 +341,10 @@ impl FoldedTaps<'_> {
 /// `kernels[i] ⊗ x`.
 ///
 /// Every computed element equals the one [`Tensor::conv1d`] computes for
-/// that kernel on the full `(B, C_in, w)` input: the packed-or-scalar
-/// decision is taken on one kernel's **unpruned** madd count
-/// `C_out·C_in·K·w`, the packed arm contracts the whole `C_in·K` depth in
-/// one microkernel pass, and the scalar arm reproduces the four-tap
-/// grouping of the per-window kernel. The input must hold every position
-/// the computed outputs read: `input.start` is 0 or at most
+/// that kernel on the full `(B, C_in, w)` input: both are this engine,
+/// and the packed-or-scalar decision is taken on one kernel's
+/// **unpruned** madd count `C_out·C_in·K·w`. The input must hold every
+/// position the computed outputs read: `input.start` is 0 or at most
 /// `out_start − pl`. `out` needs no initialization.
 pub fn conv1d_folded_into(
     x: &[f32],
@@ -313,18 +354,7 @@ pub fn conv1d_folded_into(
     out_start: usize,
     out: &mut [f32],
 ) {
-    let first = kernels.first().expect("conv1d needs a kernel");
-    assert_eq!(
-        first.rank(),
-        3,
-        "conv1d kernel must be rank 3 (Cout, Cin, K)"
-    );
-    let (cout, cin, k) = (first.dims()[0], first.dims()[1], first.dims()[2]);
-    assert!(
-        kernels.iter().all(|w| w.dims() == first.dims()),
-        "stacked conv1d kernels must share one shape"
-    );
-    assert!(k >= 1, "conv1d kernel size must be >= 1");
+    let (cout, cin, k) = stacked_shape(kernels);
     let pl = padding.left(k);
     assert!(
         input.start == 0 || input.start + pl <= out_start,
@@ -332,9 +362,12 @@ pub fn conv1d_folded_into(
         input.start
     );
     let output = input.from(out_start);
-    let (depth, n, rows_out) = (cin * k, output.cols(), kernels.len() * cout);
     assert_eq!(x.len(), cin * input.cols(), "conv1d input length");
-    assert_eq!(out.len(), rows_out * n, "conv1d output length");
+    assert_eq!(
+        out.len(),
+        kernels.len() * cout * output.cols(),
+        "conv1d output length"
+    );
     if out.is_empty() {
         return;
     }
@@ -346,54 +379,23 @@ pub fn conv1d_folded_into(
         k,
         pl,
     };
-    #[cfg(target_arch = "x86_64")]
-    if gemm::enabled(cout * cin * k * input.window) {
-        // The whole depth in one pass, as `Tensor::conv1d` contracts it.
-        gemm::gemm_panels(
-            rows_out,
-            n,
-            depth,
-            &gemm::AStacked {
-                parts: kernels,
-                rows: cout,
-            },
-            &|j0, w, dst| taps.pack(j0, w, dst),
-            out,
-        );
-        return;
-    }
-    // Scalar arm: per panel, materialize X̃ and run each output row as
-    // `conv_gemm` does (the same expression per element).
-    let base = par::SyncMutPtr(out.as_mut_ptr());
-    let panels = n.div_ceil(PANEL);
-    let run_panel = |jp: usize| {
-        let j0 = jp * PANEL;
-        let width = PANEL.min(n - j0);
-        let mut cols = scratch::take_full(depth * PANEL);
-        taps.pack(j0, width, &mut cols);
-        for (i, w) in kernels.iter().enumerate() {
-            for (co, wrow) in w.data().chunks_exact(depth).enumerate() {
-                let mut acc = [0.0f32; PANEL];
-                matmul::matmul_into(wrow, &cols, &mut acc, 1, depth, PANEL);
-                // SAFETY: row `i·C_out + co` < rows_out and columns
-                // `j0 .. j0 + width` ≤ n lie inside `out`; no other panel
-                // writes these columns, and `for_each_index` returns only
-                // after every panel is done.
-                let orow = unsafe {
-                    std::slice::from_raw_parts_mut(base.get().add((i * cout + co) * n + j0), width)
-                };
-                orow.copy_from_slice(&acc[..width]);
-            }
-        }
-        scratch::recycle(cols);
-    };
-    if par::threads() > 1 && out.len() >= par::PAR_THRESHOLD && panels > 1 {
-        par::for_each_index(panels, run_panel);
-    } else {
-        for jp in 0..panels {
-            run_panel(jp);
-        }
-    }
+    ConvEngine::new(kernels, cout, cin * k, cout * cin * k * input.window).run(&taps, out);
+}
+
+/// `(C_out, C_in, K)` of stacked conv kernels, which must share one shape.
+fn stacked_shape(kernels: &[&Tensor]) -> (usize, usize, usize) {
+    let first = kernels.first().expect("conv1d needs a kernel");
+    assert_eq!(
+        first.rank(),
+        3,
+        "conv1d kernel must be rank 3 (Cout, Cin, K)"
+    );
+    assert!(
+        kernels.iter().all(|w| w.dims() == first.dims()),
+        "stacked conv1d kernels must share one shape"
+    );
+    assert!(first.dims()[2] >= 1, "conv1d kernel size must be >= 1");
+    (first.dims()[0], first.dims()[1], first.dims()[2])
 }
 
 impl Tensor {
@@ -407,74 +409,38 @@ impl Tensor {
     /// stacked along the output channels: input `(B, C_in, L)` → output
     /// `(B, n·C_out, L)`, whose channels `i·C_out ..` of every batch
     /// element hold `kernels[i] ⊗ x` bit for bit as [`Tensor::conv1d`]
-    /// computes it. The packed path runs one GEMM of `n·C_out` rows per
-    /// batch element, packing the input windows once; the packed-or-scalar
-    /// decision is taken on one kernel's madd count.
+    /// computes it. The kernels are packed once for one GEMM of `n·C_out`
+    /// rows per batch element; the packed-or-scalar decision is taken on
+    /// one kernel's madd count.
     pub fn conv1d_stacked(&self, kernels: &[&Tensor], padding: Padding) -> Tensor {
         assert_eq!(self.rank(), 3, "conv1d input must be rank 3 (B, C, L)");
-        let first = kernels.first().expect("conv1d needs a kernel");
+        let (cout, cin, k) = stacked_shape(kernels);
+        let (b, l) = (self.dims()[0], self.dims()[2]);
         assert_eq!(
-            first.rank(),
-            3,
-            "conv1d kernel must be rank 3 (Cout, Cin, K)"
+            self.dims()[1],
+            cin,
+            "conv1d channel mismatch: input {}, kernel {cin}",
+            self.dims()[1]
         );
-        assert!(
-            kernels.iter().all(|w| w.dims() == first.dims()),
-            "stacked conv1d kernels must share one shape"
-        );
-        let (b, cin, l) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (cout, cin2) = (first.dims()[0], first.dims()[1]);
-        assert_eq!(
-            cin, cin2,
-            "conv1d channel mismatch: input {cin}, kernel {cin2}"
-        );
-        assert!(first.dims()[2] >= 1, "conv1d kernel size must be >= 1");
-        let (k, x) = (first.dims()[2], self.data());
-        let (pl, rows) = (padding.left(k), kernels.len() * cout);
+        let rows = kernels.len() * cout;
         let mut out = scratch::take_full(b * rows * l);
-        if out.is_empty() {
-            return Tensor::from_vec(out, &[b, rows, l]);
-        }
-        #[cfg(target_arch = "x86_64")]
-        if gemm::enabled(cout * cin * k * l) {
-            // The packed path *stores* every output element (no
-            // accumulation), so the buffer needs no zeroing.
-            gemm::conv_batch(
-                x,
-                &gemm::AStacked {
-                    parts: kernels,
-                    rows: cout,
-                },
+        if !out.is_empty() {
+            ConvEngine::new(kernels, cout, cin * k, cout * cin * k * l).run_windows(
+                self.data(),
+                l,
+                k,
+                padding.left(k),
                 &mut out,
-                &gemm::ConvShape {
-                    batches: b,
-                    rows_in: cin,
-                    rows_out: rows,
-                    k,
-                    l,
-                    pl,
-                },
             );
-            return Tensor::from_vec(out, &[b, rows, l]);
         }
-        // One GEMM per batch element and kernel; the kernel's (co, ci, j)
-        // layout already matches the X̃ row order (ci, j).
-        out.fill(0.0);
-        par::for_each_chunk(&mut out, rows * l, |bi, y| {
-            let xpad = pad_rows(&x[bi * cin * l..(bi + 1) * cin * l], cin, l, k, pl);
-            for (w, y) in kernels.iter().zip(y.chunks_exact_mut(cout * l)) {
-                conv_gemm(y, w.data(), &xpad, cout, cin, k, l);
-            }
-            scratch::recycle(xpad);
-        });
         Tensor::from_vec(out, &[b, rows, l])
     }
 
     /// Gradient of [`Tensor::conv1d`] with respect to its **input**.
     ///
     /// `grad_out` is `(B, C_out, L)`; the result matches the input shape
-    /// `(B, C_in, L)`. The adjoint of the forward GEMM is the same GEMM
-    /// with channels transposed, taps reversed, and the padding mirrored:
+    /// `(B, C_in, L)`. The adjoint of the forward is the same engine with
+    /// channels transposed, taps reversed, and the padding mirrored:
     /// `gx[ci][s] = Σ_{co,j} K[co][ci][j] · gout[co][s + pl - j]`.
     pub fn conv1d_input_grad(grad_out: &Tensor, kernel: &Tensor, padding: Padding) -> Tensor {
         assert_eq!(grad_out.rank(), 3, "grad_out must be rank 3");
@@ -482,7 +448,6 @@ impl Tensor {
         let (b, cout, l) = (grad_out.dims()[0], grad_out.dims()[1], grad_out.dims()[2]);
         let (cout2, cin, k) = (kernel.dims()[0], kernel.dims()[1], kernel.dims()[2]);
         assert_eq!(cout, cout2, "conv1d_input_grad channel mismatch");
-        let pl = padding.left(k);
 
         // Reorder the kernel once: wt[ci][co·k + j'] = K[co][ci][k-1-j'].
         // The scatter covers every index, so no zeroing is needed.
@@ -495,50 +460,19 @@ impl Tensor {
                 }
             }
         }
-
+        let wt = Tensor::from_vec(wt, &[cin, cout * k]);
+        let mut gx = scratch::take_full(b * cin * l);
         if l > 0 {
-            let g = grad_out.data();
-            let wt_ref = &wt;
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(cin * cout * k * l) {
-                // Store-mode packed path: no zeroing of the output needed.
-                let mut gx = scratch::take_full(b * cin * l);
-                gemm::conv_batch(
-                    g,
-                    &gemm::ARows {
-                        data: wt_ref,
-                        ld: cout * k,
-                    },
-                    &mut gx,
-                    &gemm::ConvShape {
-                        batches: b,
-                        rows_in: cout,
-                        rows_out: cin,
-                        k,
-                        l,
-                        pl: k - 1 - pl,
-                    },
-                );
-                scratch::recycle(wt);
-                return Tensor::from_vec(gx, &[b, cin, l]);
-            }
-            let mut gx = scratch::take_zeroed(b * cin * l);
-            par::for_each_chunk(&mut gx, cin * l, |bi, gxb| {
-                let gpad = pad_rows(
-                    &g[bi * cout * l..(bi + 1) * cout * l],
-                    cout,
-                    l,
-                    k,
-                    k - 1 - pl,
-                );
-                conv_gemm(gxb, wt_ref, &gpad, cin, cout, k, l);
-                scratch::recycle(gpad);
-            });
-            scratch::recycle(wt);
-            return Tensor::from_vec(gx, &[b, cin, l]);
+            ConvEngine::new(&[&wt], cin, cout * k, cin * cout * k * l).run_windows(
+                grad_out.data(),
+                l,
+                k,
+                k - 1 - padding.left(k),
+                &mut gx,
+            );
         }
-        scratch::recycle(wt);
-        Tensor::from_vec(scratch::take_zeroed(b * cin * l), &[b, cin, l])
+        wt.recycle();
+        Tensor::from_vec(gx, &[b, cin, l])
     }
 
     /// Gradient of [`Tensor::conv1d`] with respect to its **kernel**.

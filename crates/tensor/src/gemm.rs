@@ -1,17 +1,17 @@
 //! Packed, register-blocked f32 GEMM core (AVX2 + FMA).
 //!
 //! Every dense contraction in the crate — the three 2-D matmul variants,
-//! the three batched variants, and the implicit-im2col convolution
-//! kernels — reduces to one primitive:
+//! the three batched variants, and the convolutions — reduces to one
+//! primitive:
 //!
 //! ```text
 //! C (m × n) += A (m × depth) · B (depth × n)
 //! ```
 //!
-//! where A and B are *views* ([`APanelSrc`] / [`BPanelSrc`]) that know how
-//! to copy a few contiguous elements of a given depth slice, so transposed
-//! operands, padded convolution windows, and batch-concatenated gradients
-//! all feed the same microkernel without materializing anything.
+//! where A and B are *views* ([`APanelSrc`] / [`BPanelSrc`], or a panel
+//! closure) that know how to copy a few elements of a given depth slice,
+//! so transposed operands, convolution taps, and batch-concatenated
+//! gradients all feed the same microkernel without materializing anything.
 //!
 //! # Anatomy
 //!
@@ -27,15 +27,23 @@
 //!   multiply-adds — 96 madds per step, the AVX2 port-saturating shape.
 //!   Depth is unrolled four deep. Edge tiles (m % 6, n % 16) run the same
 //!   kernel into a stack tile that is then added to the live part of C.
-//! * **Parallelism.** Row blocks are independent; large products fan the
-//!   block list out over the persistent worker pool
+//!
+//! # Two drivers
+//!
+//! * [`gemm`] serves the matmuls and the kernel gradient. It packs B one
+//!   depth slab of at most [`KC`] steps at a time, so the packed block
+//!   stays cache-resident, and accumulates the slabs into C in a fixed
+//!   order. Row blocks fan out over the persistent worker pool
 //!   ([`par::for_each_index`]), each worker packing its own A panels.
-//!   Block boundaries are fixed by [`MR`] — **not** by the worker count —
-//!   and every block accumulates depth in the same order, so results are
-//!   bit-exact across thread counts.
-//! * **Depth blocking.** Depths beyond [`KC`] are processed in slabs so
-//!   the packed B block stays cache-resident; C accumulates across slabs
-//!   in a fixed order (bit-exact by construction).
+//! * [`gemm_panels`] serves every convolution forward and input gradient
+//!   ([`crate::conv`]): A is packed once by [`pack_a`], the whole depth
+//!   runs in one microkernel pass, and the column panels fan out, each
+//!   packed by the caller's closure. A per-window convolution is a
+//!   one-window fold, so training and scoring share this driver.
+//!
+//! Block and panel boundaries are fixed by [`MR`] and [`NR`] — **not** by
+//! the worker count — and every element accumulates depth in the same
+//! order, so results are bit-exact across thread counts.
 //!
 //! This module is only compiled on x86_64 and only *runs* when
 //! [`crate::simd::active`] reports AVX2+FMA; the portable fallbacks in
@@ -97,16 +105,6 @@ pub(crate) trait APanelSrc: Sync {
 /// `dst[d*NR ..][..NR]`), zero-padding columns `w .. NR`.
 pub(crate) trait BPanelSrc: Sync {
     fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]);
-}
-
-/// Packs a panel whose depth row `d` is the contiguous run
-/// `src[start(d) ..][..w]` — the B views whose columns are contiguous.
-#[inline]
-fn pack_runs(src: &[f32], kc: usize, w: usize, dst: &mut [f32], start: impl Fn(usize) -> usize) {
-    for (d, row) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
-        row[..w].copy_from_slice(&src[start(d)..][..w]);
-        row[w..].fill(0.0);
-    }
 }
 
 /// Row-major A: element `(i, d)` at `data[i*ld + d]`.
@@ -215,7 +213,10 @@ pub(crate) struct BRows<'a> {
 
 impl BPanelSrc for BRows<'_> {
     fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
-        pack_runs(self.data, kc, w, dst, |d| (k0 + d) * self.ld + j0);
+        for (d, row) in dst[..kc * NR].chunks_exact_mut(NR).enumerate() {
+            row[..w].copy_from_slice(&self.data[(k0 + d) * self.ld + j0..][..w]);
+            row[w..].fill(0.0);
+        }
     }
 }
 
@@ -239,24 +240,6 @@ impl BPanelSrc for BColsT<'_> {
                 dst[d * NR + j] = v;
             }
         }
-    }
-}
-
-/// Implicit-im2col B for the convolution forward/input-grad: depth index
-/// `p = ci·k + j` selects the window `pad[ci][j .. j+l]` of the padded
-/// input (rows of stride `l + k − 1`), which is contiguous in the column
-/// (time) direction.
-pub(crate) struct BWindows<'a> {
-    pub pad: &'a [f32],
-    pub stride: usize,
-    pub k: usize,
-}
-
-impl BPanelSrc for BWindows<'_> {
-    fn pack_panel(&self, k0: usize, kc: usize, j0: usize, w: usize, dst: &mut [f32]) {
-        pack_runs(self.pad, kc, w, dst, |d| {
-            ((k0 + d) / self.k) * self.stride + (k0 + d) % self.k + j0
-        });
     }
 }
 
@@ -713,8 +696,7 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     );
 }
 
-/// Dimensions of one convolution GEMM (shared by forward and the
-/// adjoints; `rows_in`/`rows_out` swap roles for the input gradient).
+/// Dimensions of a kernel-gradient GEMM ([`conv_kernel_grad`]).
 pub(crate) struct ConvShape {
     pub batches: usize,
     pub rows_in: usize,
@@ -724,151 +706,44 @@ pub(crate) struct ConvShape {
     pub pl: usize,
 }
 
-impl ConvShape {
-    #[inline]
-    fn stride(&self) -> usize {
-        self.l + self.k - 1
-    }
-}
-
-/// Batched implicit-im2col convolution forward (also the input gradient,
-/// with a reordered weight matrix and mirrored padding):
-/// `out[bi] (rows_out × l) = W (rows_out × rows_in·k) · X̃[bi]`, where
-/// `a` views W (`rows_out` rows of depth `rows_in·k`).
-///
-/// The weight matrix is packed **once** and shared across the batch;
-/// each batch element pads its input rows and packs its own B panels in
-/// worker-local scratch.
-pub(crate) fn conv_batch<A: APanelSrc>(x: &[f32], a: &A, out: &mut [f32], s: &ConvShape) {
-    let depth = s.rows_in * s.k;
-    let (l, stride) = (s.l, s.stride());
-    debug_assert_eq!(out.len(), s.batches * s.rows_out * l);
-    if l == 0 || out.is_empty() {
-        return;
-    }
-
-    // Pack all row blocks of W up front: block ib holds depth-major
-    // MR-wide slices of rows ib*MR ..
-    let nblocks = s.rows_out.div_ceil(MR);
+/// Packs every row block of A over the whole depth, as [`gemm_panels`]
+/// reads it: block `ib` at `ib·depth·MR`. The caller recycles the buffer.
+pub(crate) fn pack_a<A: APanelSrc>(m: usize, depth: usize, a: &A) -> Vec<f32> {
+    let nblocks = m.div_ceil(MR);
     // Fully packed before use — unspecified initial contents are fine.
-    let mut pw = scratch::take_full(nblocks * depth * MR);
+    let mut pa = scratch::take_full(nblocks * depth * MR);
     for ib in 0..nblocks {
-        let i0 = ib * MR;
-        let h = MR.min(s.rows_out - i0);
-        a.pack_block(0, depth, i0, h, &mut pw[ib * depth * MR..][..depth * MR]);
+        let (i0, dst) = (ib * MR, &mut pa[ib * depth * MR..][..depth * MR]);
+        a.pack_block(0, depth, i0, MR.min(m - i0), dst);
     }
-
-    let npanels = l.div_ceil(NR);
-    let pw_ref = &pw;
-    par::for_each_chunk(out, s.rows_out * l, |bi, y| {
-        let src = &x[bi * s.rows_in * l..(bi + 1) * s.rows_in * l];
-        let mut pb;
-        if npanels == 1 {
-            // Single-panel fast path (the CAE serving/training shape:
-            // window length ≤ NR). Each depth row is built directly from
-            // the unpadded source — one contiguous copy for the valid
-            // span, explicit zero fills for the padding borders — so the
-            // intermediate padded buffer, its memset, its row copies and
-            // the whole-panel memset are all skipped. Contents are
-            // identical to the padded path below, so results stay
-            // bit-exact across both.
-            pb = scratch::take_full(depth * NR);
-            for ci in 0..s.rows_in {
-                let row = &src[ci * l..(ci + 1) * l];
-                for j in 0..s.k {
-                    // Panel column t reads source index t + j − pl.
-                    let off = j as isize - s.pl as isize;
-                    let lead = (-off).clamp(0, l as isize) as usize;
-                    let te = (l as isize - off).clamp(lead as isize, l as isize) as usize;
-                    let dst = &mut pb[(ci * s.k + j) * NR..][..NR];
-                    dst[..lead].fill(0.0);
-                    if te > lead {
-                        dst[lead..te].copy_from_slice(
-                            &row[(lead as isize + off) as usize..(te as isize + off) as usize],
-                        );
-                    }
-                    dst[te..].fill(0.0);
-                }
-            }
-        } else {
-            // Zero-pad this batch element's input rows so every tap shift
-            // is a contiguous in-bounds window.
-            let mut pad = scratch::take_zeroed(s.rows_in * stride);
-            for r in 0..s.rows_in {
-                pad[r * stride + s.pl..r * stride + s.pl + l]
-                    .copy_from_slice(&src[r * l..(r + 1) * l]);
-            }
-            let bsrc = BWindows {
-                pad: &pad,
-                stride,
-                k: s.k,
-            };
-            pb = scratch::take_full(npanels * NR * depth);
-            for jp in 0..npanels {
-                let j0 = jp * NR;
-                let w = NR.min(l - j0);
-                bsrc.pack_panel(0, depth, j0, w, &mut pb[jp * depth * NR..][..depth * NR]);
-            }
-            scratch::recycle(pad);
-        }
-        for ib in 0..nblocks {
-            let i0 = ib * MR;
-            let h = MR.min(s.rows_out - i0);
-            for jp in 0..npanels {
-                let j0 = jp * NR;
-                let w = NR.min(l - j0);
-                // SAFETY: same contract as in `gemm` — panels are fully
-                // packed and the tile stays inside y's h×w corner.
-                unsafe {
-                    microkernel(
-                        pw_ref.as_ptr().add(ib * depth * MR),
-                        pb.as_ptr().add(jp * depth * NR),
-                        depth,
-                        y.as_mut_ptr().add(i0 * l + j0),
-                        l,
-                        h,
-                        w,
-                        false,
-                    );
-                }
-            }
-        }
-        scratch::recycle(pb);
-    });
-    scratch::recycle(pw);
+    pa
 }
 
 /// `out (m × n) = A (m × depth) · B (depth × n)`, one column panel at a
-/// time, the whole depth in one microkernel pass — as [`conv_batch`]
-/// runs each batch element, whatever the depth.
+/// time, the whole depth in one microkernel pass, with A packed by
+/// [`pack_a`] — so a caller running many products against one A packs
+/// it once.
 ///
-/// A's row blocks are packed once. B is packed one panel at a time by
-/// `pack_b(j0, w, dst)`, which writes columns `j0 .. j0 + w` of every
-/// depth row `d` to `dst[d·NR ..]` and zeros columns `w .. NR`; the panel
-/// then meets every row block while it is L1-resident, and its buffer is
-/// the same size whatever `n` is. Panels fan out over the pool, each
-/// writing only its own columns of `out`.
-pub(crate) fn gemm_panels<A: APanelSrc>(
+/// B is packed one panel at a time by `pack_b(j0, w, dst)`, which writes
+/// columns `j0 .. j0 + w` of every depth row `d` to `dst[d·NR ..]` and
+/// zeros columns `w .. NR`; the panel then meets every row block while it
+/// is L1-resident, and its buffer is the same size whatever `n` is.
+/// Panels fan out over the pool, each writing only its own columns of
+/// `out`.
+pub(crate) fn gemm_panels(
     m: usize,
     n: usize,
     depth: usize,
-    a: &A,
+    pa: &[f32],
     pack_b: &PackPanel<'_>,
     out: &mut [f32],
 ) {
     assert_eq!(out.len(), m * n, "gemm_panels output length");
+    let nblocks = m.div_ceil(MR);
+    assert_eq!(pa.len(), nblocks * depth * MR, "packed A length");
     if m == 0 || n == 0 || depth == 0 {
         return;
     }
-    let nblocks = m.div_ceil(MR);
-    // Block `ib` at `ib·depth·MR`. Fully packed before use — unspecified
-    // initial contents are fine.
-    let mut pa = scratch::take_full(nblocks * depth * MR);
-    for (ib, dst) in pa.chunks_exact_mut(depth * MR).enumerate() {
-        let i0 = ib * MR;
-        a.pack_block(0, depth, i0, MR.min(m - i0), dst);
-    }
-    let pa_ref = &pa;
     let base = SyncMutPtr(out.as_mut_ptr());
     let npanels = n.div_ceil(NR);
     let run_panel = |jp: usize| {
@@ -884,7 +759,7 @@ pub(crate) fn gemm_panels<A: APanelSrc>(
             // (stride `n`), which no other panel writes.
             unsafe {
                 microkernel(
-                    pa_ref.as_ptr().add(ib * depth * MR),
+                    pa.as_ptr().add(ib * depth * MR),
                     pb.as_ptr(),
                     depth,
                     base.get().add(i0 * n + j0),
@@ -904,7 +779,6 @@ pub(crate) fn gemm_panels<A: APanelSrc>(
             run_panel(jp);
         }
     }
-    scratch::recycle(pa);
 }
 
 /// The B packer of [`gemm_panels`]: `(j0, w, dst)`.
@@ -922,7 +796,7 @@ pub(crate) type PackPanel<'a> = dyn Fn(usize, usize, &mut [f32]) + Sync + 'a;
 /// because a row's result depends only on its own A stream and the
 /// shared B panels.
 pub(crate) fn conv_kernel_grad(x: &[f32], gs: &[&Tensor], gw: &mut [f32], s: &ConvShape) {
-    let (l, stride) = (s.l, s.stride());
+    let (l, stride) = (s.l, s.l + s.k - 1);
     let m = gs.len() * s.rows_out;
     debug_assert_eq!(gw.len(), m * s.rows_in * s.k);
     if l == 0 || s.batches == 0 {

@@ -6,8 +6,9 @@
 //!
 //! * elementwise arithmetic and activations,
 //! * 2-D and batched 3-D matrix multiplication (register-blocked kernels),
-//! * 1-D convolution with *same* and *causal* padding ([`Padding`]),
-//!   with a fused multi-tap inner loop,
+//! * 1-D convolution with *same* and *causal* padding ([`Padding`]):
+//!   one implicit-im2col engine over batch-folded inputs for training
+//!   and scoring alike,
 //! * reductions and axis utilities,
 //! * seeded random initialization,
 //! * optional thread-level parallelism over batches via a persistent
@@ -26,11 +27,11 @@
 //!    softmax passes) next to their portable scalar twins.
 //! 2. **Packed GEMM core** (`gemm`, x86_64 only): every dense
 //!    contraction — `matmul`/`matmul_tn`/`matmul_nt`, the three `bmm`
-//!    variants, and the implicit-im2col convolution forward/input-grad/
-//!    kernel-grad — is expressed as `C += A·B` over packed operand
-//!    panels and executed by one 6×16 AVX2+FMA register-tile
-//!    microkernel. Panels live in pooled scratch; row blocks fan out
-//!    over the worker pool.
+//!    variants, the convolution engine (forward and input gradient) and
+//!    the kernel gradient — is expressed as `C += A·B` over packed
+//!    operand panels and executed by one 6×16 AVX2+FMA register-tile
+//!    microkernel. Panels live in pooled scratch; row blocks or column
+//!    panels fan out over the worker pool.
 //! 3. **Portable kernels** (`matmul`, `conv`): the unrolled scalar
 //!    loops, used when AVX2 is unavailable or the scalar path is forced,
 //!    and for contractions too small to amortize packing.

@@ -5,7 +5,7 @@ use std::fmt;
 /// The dimensions of a [`crate::Tensor`], stored outermost-first.
 ///
 /// A `Shape` is a thin wrapper over a `Vec<usize>` adding the arithmetic
-/// every kernel needs (element counts, row-major strides, flat indexing).
+/// every kernel needs (element counts, flat row-major indexing).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
@@ -45,15 +45,6 @@ impl Shape {
     #[inline]
     pub fn dim(&self, axis: usize) -> usize {
         self.0[axis]
-    }
-
-    /// Row-major strides (in elements) for each dimension.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
     }
 
     /// Flat row-major offset of a multi-index. Panics on out-of-range indices.
@@ -121,12 +112,6 @@ mod tests {
         let s = Shape::new(&[2, 0, 4]);
         assert_eq!(s.len(), 0);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(&[7]).strides(), vec![1]);
     }
 
     #[test]

@@ -171,15 +171,6 @@ pub fn relu_in_place(x: &mut [f32]) {
     }
 }
 
-/// `dst[i] = src[i] >= 0 ? src[i] : alpha * src[i]`.
-pub(crate) fn leaky_relu(dst: &mut [f32], src: &[f32], alpha: f32) {
-    debug_assert_eq!(dst.len(), src.len());
-    dispatch!(leaky_relu(dst, src, alpha));
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = if x >= 0.0 { x } else { alpha * x };
-    }
-}
-
 /// Numerically stable logistic sigmoid of a scalar.
 #[inline]
 pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
@@ -389,36 +380,6 @@ mod avx2 {
     pub(super) unsafe fn relu(dst: *mut f32, src: *const f32, len: usize) {
         let zero = _mm256_setzero_ps();
         map_lanes!(dst, src, len, |v| _mm256_max_ps(v, zero));
-    }
-
-    /// # Safety
-    ///
-    /// AVX2+FMA must be runtime-verified, and `dst.len() >= src.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn leaky_relu(dst: &mut [f32], src: &[f32], alpha: f32) {
-        debug_assert!(dst.len() >= src.len());
-        let a = _mm256_set1_ps(alpha);
-        let zero = _mm256_setzero_ps();
-        lanes!(
-            src.len(),
-            i,
-            {
-                // SAFETY: `i + 8 <= src.len() <= dst.len()` per the
-                // lanes! loop bound and the length contract.
-                unsafe {
-                    let v = _mm256_loadu_ps(src.as_ptr().add(i));
-                    let neg = _mm256_mul_ps(v, a);
-                    // x >= 0 ? x : alpha·x
-                    let mask = _mm256_cmp_ps(v, zero, _CMP_GE_OQ);
-                    _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_blendv_ps(neg, v, mask));
-                }
-            },
-            t,
-            {
-                let x = src[t];
-                dst[t] = if x >= 0.0 { x } else { alpha * x };
-            }
-        );
     }
 
     /// Polynomial `exp` on 8 lanes (Cephes-style: range-reduce by powers

@@ -318,11 +318,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a * b, "mul")
     }
 
-    /// Elementwise quotient. Shapes must match exactly.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a / b, "div")
-    }
-
     /// Adds `other` into `self` in place. Shapes must match exactly.
     pub fn add_inplace(&mut self, other: &Tensor) {
         assert_eq!(
@@ -503,7 +498,6 @@ mod tests {
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
         assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
         assert_eq!(a.neg().data(), &[-1.0, -2.0, -3.0]);
     }
 

@@ -210,16 +210,18 @@ proptest! {
         cae_tensor::assert_close(fast.data(), &naive, 1e-3 * k as f32);
     }
 
-    /// The implicit-im2col GEMM `conv1d` against a textbook quintuple
-    /// loop, across kernel sizes straddling the 4-way unroll boundary of
-    /// the GEMM depth (`C_in·K`), for both padding modes.
+    /// `conv1d` and `conv1d_input_grad` against textbook quintuple loops,
+    /// across kernel sizes straddling the 4-way unroll boundary of the
+    /// GEMM depth (`C_in·K`), for both padding modes, with windows up to
+    /// 40 long so a window spans up to three 16-column panels.
     #[test]
     fn fused_conv1d_matches_naive_reference(
-        (x, w, causal) in (1usize..3, 1usize..4, 2usize..10, 1usize..8, 1usize..3)
+        (x, w, g, causal) in (1usize..3, 1usize..4, 2usize..41, 1usize..8, 1usize..3)
             .prop_flat_map(|(bs, cin, l, k, cout)| {
                 (
                     tensor_strategy(vec![bs, cin, l]),
                     tensor_strategy(vec![cout, cin, k]),
+                    tensor_strategy(vec![bs, cout, l]),
                     any::<bool>(),
                 )
             })
@@ -229,7 +231,9 @@ proptest! {
         let (cout, k) = (w.dims()[0], w.dims()[2]);
         let pl = padding.left(k) as isize;
         let fast = x.conv1d(&w, padding);
+        let fast_gx = Tensor::conv1d_input_grad(&g, &w, padding);
         let mut naive = Tensor::zeros(&[bs, cout, l]);
+        let mut naive_gx = Tensor::zeros(&[bs, cin, l]);
         for bi in 0..bs {
             for co in 0..cout {
                 for t in 0..l {
@@ -245,8 +249,24 @@ proptest! {
                     naive.set(&[bi, co, t], acc);
                 }
             }
+            // gx[ci][s] = Σ K[co][ci][j]·g[co][s + pl − j].
+            for ci in 0..cin {
+                for s in 0..l {
+                    let mut acc = 0.0f32;
+                    for co in 0..cout {
+                        for j in 0..k {
+                            let t = s as isize + pl - j as isize;
+                            if t >= 0 && (t as usize) < l {
+                                acc += w.at(&[co, ci, j]) * g.at(&[bi, co, t as usize]);
+                            }
+                        }
+                    }
+                    naive_gx.set(&[bi, ci, s], acc);
+                }
+            }
         }
         cae_tensor::assert_close(fast.data(), naive.data(), 1e-3 * (cin * k) as f32);
+        cae_tensor::assert_close(fast_gx.data(), naive_gx.data(), 1e-3 * (cout * k) as f32);
     }
 
     /// SIMD vs forced-scalar for the 2-D matmul family, with dimensions
