@@ -110,6 +110,14 @@ impl ParamStore {
         &self.slots[id.0].grad
     }
 
+    /// The parameter's value, mutably, beside its accumulated gradient:
+    /// the split borrow an optimizer step needs to read the gradient in
+    /// place while it updates the value.
+    pub fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        let slot = &mut self.slots[id.0];
+        (&mut slot.value, &slot.grad)
+    }
+
     /// Adds `grad` into the parameter's accumulator.
     pub fn accumulate_grad(&mut self, id: ParamId, grad: &Tensor) {
         self.slots[id.0].grad.add_inplace(grad);

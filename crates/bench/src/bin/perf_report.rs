@@ -75,8 +75,11 @@ fn bench(
         }
         best = best.min(start.elapsed().as_nanos() / u128::from(per_rep));
     }
-    let iters = per_rep * u64::from(REPS);
-    let shape = shape.into();
+    entry(op, shape.into(), per_rep * u64::from(REPS), best)
+}
+
+/// Prints one op's timing line and returns its report entry.
+fn entry(op: &'static str, shape: String, iters: u64, best: u128) -> Entry {
     eprintln!("{op:<26} {shape:<22} {iters:>8} iters  {best:>12} ns/iter (min of {REPS} reps)");
     Entry {
         op,
@@ -85,6 +88,46 @@ fn bench(
         ns_per_iter: best,
     }
 }
+
+/// Like [`bench`], but every timed call of `f` follows `gap` of idle
+/// sleep, which is not timed: the latency of work that arrives at an idle
+/// pool.
+fn bench_after_gap(
+    op: &'static str,
+    shape: impl Into<String>,
+    budget: Duration,
+    gap: Duration,
+    mut f: impl FnMut(),
+) -> Entry {
+    f();
+    let per_rep = (budget.as_nanos() / u128::from(REPS) / gap.as_nanos()).clamp(1, 1 << 20);
+    let per_rep = per_rep as u64;
+    let mut best = u128::MAX;
+    for _ in 0..REPS {
+        let mut busy = Duration::ZERO;
+        for _ in 0..per_rep {
+            std::thread::sleep(gap);
+            let start = Instant::now();
+            f();
+            busy += start.elapsed();
+        }
+        best = best.min(busy.as_nanos() / u128::from(per_rep));
+    }
+    entry(op, shape.into(), per_rep * u64::from(REPS), best)
+}
+
+/// A fixed dependent chain of float arithmetic, seeded by `seed`: the
+/// unit of work of the `pool_fork_join` op.
+fn fixed_arithmetic(seed: usize) -> f32 {
+    let mut x = 1.0 + seed as f32;
+    for _ in 0..FORK_JOIN_STEPS {
+        x = std::hint::black_box(x * 0.999_9 + 0.5);
+    }
+    x
+}
+
+/// Steps of [`fixed_arithmetic`]; about 20 µs on one 2.1 GHz Xeon core.
+const FORK_JOIN_STEPS: u32 = 4_200;
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -280,13 +323,37 @@ fn main() {
     }));
 
     // Pool dispatch overhead: trivial per-chunk work on a large buffer —
-    // measures the cost of waking and joining the persistent workers.
+    // the submitter's side of a job (publish, claim, join). The tasks are
+    // so short that the submitter usually claims every span before a
+    // parked worker wakes, so this is not the cost of waking a worker;
+    // `pool_fork_join` below measures that.
     let mut dispatch_buf = vec![0.0f32; 1 << 16];
     results.push(bench("pool_dispatch", "65536/1024", budget, || {
         par::for_each_chunk(&mut dispatch_buf, 1024, |bi, chunk| {
             chunk[0] = bi as f32;
         });
     }));
+
+    // Fork-join latency: 2 tasks of fixed arithmetic (about 20 µs each on
+    // one 2.1 GHz Xeon core), so both threads of a 2-thread pool must
+    // take part. Back to back, workers find each job while they spin;
+    // after an idle gap longer than `par::SPIN_WINDOW` they have parked
+    // and the job pays their wake-up.
+    let fork_join = || {
+        par::for_each_index(2, |i| {
+            std::hint::black_box(fixed_arithmetic(i));
+        });
+    };
+    results.push(bench("pool_fork_join", "2x20us", budget, fork_join));
+    let gap = Duration::from_millis(1);
+    assert!(gap > par::SPIN_WINDOW, "the idle gap must outlast the spin");
+    results.push(bench_after_gap(
+        "pool_fork_join",
+        "2x20us after 1ms idle",
+        budget,
+        gap,
+        fork_join,
+    ));
 
     // --- One training step of the CAE basic model -----------------------
     // Batch 32 windows of the paper-shaped model (D' = 24, w = 16, 2

@@ -434,33 +434,39 @@ impl CaeEnsemble {
             scaled.len()
         );
         let n_win = num_windows(scaled.len(), w);
+        let starts: Vec<usize> = (0..n_win).collect();
+        let n_chunks = n_win.div_ceil(INFERENCE_BATCH);
+        // One task per (member, chunk): members are independent until the
+        // Eq. 15 median, and chunk-sized tasks keep every pool thread busy
+        // however the member count divides by the thread count.
         // Figure 10: window 0 scores all its positions, every later window
         // its last one. Only the first chunk holds window 0, so only it
         // runs an all-position forward; its other windows keep their last
         // error.
-        par::map_indexed(self.members.len(), |m| {
-            let (model, store) = &self.members[m];
-            let mut scores = Vec::with_capacity(n_win + w - 1);
-            let starts: Vec<usize> = (0..n_win).collect();
-            for (i, chunk) in starts.chunks(INFERENCE_BATCH).enumerate() {
-                let batch = Self::gather_windows(&scaled, chunk, w);
-                if i == 0 {
-                    let mut errors = scratch::take(chunk.len() * w);
-                    model
-                        .infer(store, &batch, Positions::All)
-                        .errors_into(&batch, &mut errors);
-                    scores.extend_from_slice(&errors[..w]);
-                    scores.extend(errors[w..].chunks_exact(w).map(|row| row[w - 1]));
-                    scratch::recycle(errors);
-                } else {
-                    model
-                        .infer(store, &batch, Positions::Last)
-                        .errors_into(&batch, &mut scores);
-                }
-                batch.recycle();
+        let pieces = par::map_indexed(self.members.len() * n_chunks, |task| {
+            let (model, store) = &self.members[task / n_chunks];
+            let i = task % n_chunks;
+            let chunk = &starts[i * INFERENCE_BATCH..((i + 1) * INFERENCE_BATCH).min(n_win)];
+            let batch = Self::gather_windows(&scaled, chunk, w);
+            let mut piece = Vec::with_capacity(chunk.len() + w - 1);
+            if i == 0 {
+                let mut errors = scratch::take(chunk.len() * w);
+                model
+                    .infer(store, &batch, Positions::All)
+                    .errors_into(&batch, &mut errors);
+                piece.extend_from_slice(&errors[..w]);
+                piece.extend(errors[w..].chunks_exact(w).map(|row| row[w - 1]));
+                scratch::recycle(errors);
+            } else {
+                model
+                    .infer(store, &batch, Positions::Last)
+                    .errors_into(&batch, &mut piece);
             }
-            scores
-        })
+            batch.recycle();
+            piece
+        });
+        // Each member's series is its pieces in chunk order.
+        pieces.chunks(n_chunks).map(<[Vec<f32>]>::concat).collect()
     }
 
     /// Scores the observations of `test` with the first `m` members only —
@@ -737,10 +743,34 @@ mod tests {
         )
     }
 
+    /// Runs `f` with the process-wide pool at `threads`, serialized
+    /// against the other tests that change the pool width, and resets the
+    /// pool to 1 thread on exit, panics included.
+    fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        struct OneThread;
+        impl Drop for OneThread {
+            fn drop(&mut self) {
+                par::set_threads(1);
+            }
+        }
+        let _gate = GATE
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _reset = OneThread;
+        par::set_threads(threads);
+        f()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     /// `member_scores` runs its first chunk with all positions and the
     /// rest with the last position only; its series must equal the
     /// Figure 10 mapping of all-position errors of every window, bit for
-    /// bit, whichever way the windows split into inference chunks.
+    /// bit, whichever way the windows split into inference chunks and
+    /// the (member, chunk) tasks split over the pool.
     #[test]
     fn member_scores_match_all_position_series_at_chunk_boundaries() {
         let (mc, ec) = tiny_configs(2);
@@ -751,18 +781,29 @@ mod tests {
             let test = sine_series(n_win + w - 1, 2);
             let scaled = ens.scale(&test);
             let starts: Vec<usize> = (0..n_win).collect();
-            for (m, scores) in ens.member_scores(&test).iter().enumerate() {
-                let (model, store) = &ens.members[m];
-                let mut errors = Vec::new();
-                for chunk in starts.chunks(INFERENCE_BATCH) {
-                    let batch = CaeEnsemble::gather_windows(&scaled, chunk, w);
-                    model
-                        .infer(store, &batch, Positions::All)
-                        .errors_into(&batch, &mut errors);
+            let expected: Vec<Vec<u32>> = ens
+                .members
+                .iter()
+                .map(|(model, store)| {
+                    let mut errors = Vec::new();
+                    for chunk in starts.chunks(INFERENCE_BATCH) {
+                        let batch = CaeEnsemble::gather_windows(&scaled, chunk, w);
+                        model
+                            .infer(store, &batch, Positions::All)
+                            .errors_into(&batch, &mut errors);
+                    }
+                    bits(&series_scores_from_window_errors(&errors, n_win, w))
+                })
+                .collect();
+            for threads in [1, 2] {
+                let per_member = at_threads(threads, || ens.member_scores(&test));
+                for (m, scores) in per_member.iter().enumerate() {
+                    assert_eq!(
+                        bits(scores),
+                        expected[m],
+                        "member {m}, {n_win} windows, {threads} threads"
+                    );
                 }
-                let expected = series_scores_from_window_errors(&errors, n_win, w);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(scores), bits(&expected), "member {m}, {n_win} windows");
             }
         }
     }
@@ -804,16 +845,28 @@ mod tests {
         );
     }
 
+    /// The same seed gives the same fit and scores, bit for bit, at 1
+    /// and at 2 pool threads. At D' = 24, w = 16 and batch 32 the
+    /// training ops clear `PAR_THRESHOLD`, so the second run really
+    /// dispatches to the pool.
     #[test]
     fn deterministic_under_fixed_seed() {
         let series = sine_series(150, 1);
         let (mc, ec) = tiny_configs(1);
-        let run = || {
-            let mut ens = CaeEnsemble::new(mc.clone(), ec.clone());
-            ens.fit(&series);
-            ens.score(&series)
+        let (mc, ec) = (mc.embed_dim(24).window(16), ec.batch_size(32));
+        let run = |threads| {
+            at_threads(threads, || {
+                let mut ens = CaeEnsemble::new(mc.clone(), ec.clone());
+                ens.fit(&series);
+                let trace: Vec<[u32; 4]> = ens
+                    .loss_trace()
+                    .iter()
+                    .map(|&(m, e, j, k)| [m as u32, e as u32, j.to_bits(), k.to_bits()])
+                    .collect();
+                (trace, bits(&ens.score(&series)))
+            })
         };
-        assert_eq!(run(), run());
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

@@ -66,13 +66,9 @@ impl Optimizer for Adam {
             "optimizer layout does not match store"
         );
         for (slot, id) in ids.into_iter().enumerate() {
-            // Copy the gradient out to satisfy the borrow checker cheaply
-            // (through the scratch pool, so steady-state steps allocate
-            // nothing); gradients are small relative to activations.
-            let grad = store.grad(id).clone();
+            let (value, grad) = store.value_mut_and_grad(id);
             let m = &mut self.m[slot];
             let v = &mut self.v[slot];
-            let value = store.value_mut(id);
             for i in 0..grad.len() {
                 let g = grad.data()[i];
                 let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
@@ -83,7 +79,6 @@ impl Optimizer for Adam {
                 let v_hat = vi / bc2;
                 value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
-            grad.recycle();
         }
         store.zero_grads();
     }
@@ -129,16 +124,14 @@ impl Optimizer for Sgd {
             "optimizer layout does not match store"
         );
         for (slot, id) in ids.into_iter().enumerate() {
-            let grad = store.grad(id).clone();
+            let (value, grad) = store.value_mut_and_grad(id);
             let vel = &mut self.velocity[slot];
-            let value = store.value_mut(id);
             for i in 0..grad.len() {
                 let g = grad.data()[i];
                 let v = self.momentum * vel.data()[i] + g;
                 vel.data_mut()[i] = v;
                 value.data_mut()[i] -= self.lr * v;
             }
-            grad.recycle();
         }
         store.zero_grads();
     }

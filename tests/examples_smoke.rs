@@ -114,8 +114,13 @@ fn fleet_serving_pipeline_runs_on_a_tiny_fleet() {
         "cae_examples_smoke_fleet_{}.caee",
         std::process::id()
     ));
-    detector.save(&path).expect("checkpoint write");
-    let ensemble = CaeEnsemble::load(&path).expect("checkpoint read");
+    let ensemble = {
+        // Sibling tests arm the persistence failpoints process-wide; the
+        // chaos lock keeps their faults out of this round trip.
+        let _chaos = cae_ensemble_repro::chaos::exclusive();
+        detector.save(&path).expect("checkpoint write");
+        CaeEnsemble::load(&path).expect("checkpoint read")
+    };
     let _ = std::fs::remove_file(&path);
 
     let w = ensemble.model_config().window;
