@@ -110,12 +110,13 @@ impl ParamStore {
         &self.slots[id.0].grad
     }
 
-    /// The parameter's value, mutably, beside its accumulated gradient:
-    /// the split borrow an optimizer step needs to read the gradient in
-    /// place while it updates the value.
-    pub fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
-        let slot = &mut self.slots[id.0];
-        (&mut slot.value, &slot.grad)
+    /// Every parameter's value, mutably, beside its accumulated gradient,
+    /// in registration order: the split borrow an optimizer step needs to
+    /// read the gradients in place while it updates the values.
+    pub fn values_mut_and_grads(&mut self) -> impl Iterator<Item = (&mut Tensor, &Tensor)> {
+        self.slots
+            .iter_mut()
+            .map(|slot| (&mut slot.value, &slot.grad))
     }
 
     /// Adds `grad` into the parameter's accumulator.

@@ -172,8 +172,10 @@ impl Tape {
         &self.values[v.0]
     }
 
-    /// The gradient of the last [`Tape::backward`] loss w.r.t. node `v`,
-    /// if it participated in the loss.
+    /// The gradient of the last [`Tape::backward`] loss w.r.t. leaf `v`
+    /// (a constant or a parameter), if it participated in the loss. An
+    /// inner node's gradient is released once the backward has used it,
+    /// so this returns `None` for inner nodes.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }

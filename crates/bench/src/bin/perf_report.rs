@@ -375,6 +375,38 @@ fn main() {
         opt.step(&mut store);
     }));
 
+    // --- Optimizer step and training noise ------------------------------
+    // One Adam step over a model's parameters: the gradients are
+    // re-accumulated first, as `Tape::accumulate_param_grads` does every
+    // training step, so the moments stay at a steady magnitude instead of
+    // decaying towards subnormals over the repetitions.
+    let adam_step = |op_shape: &str, store: &mut ParamStore, rng: &mut StdRng| {
+        let grads: Vec<Tensor> = store
+            .ids()
+            .map(|id| Tensor::rand_uniform(store.value(id).dims(), -1e-2, 1e-2, rng))
+            .collect();
+        let mut opt = Adam::new(store, 1e-3);
+        let shape = format!("{op_shape} ({} params)", store.num_scalars());
+        bench("adam_step", shape, budget, || {
+            for (id, g) in store.ids().zip(&grads) {
+                store.accumulate_grad(id, g);
+            }
+            opt.step(store);
+        })
+    };
+    results.push(adam_step("D'24 L2 D4", &mut store, &mut rng));
+    // The paper architecture (D' = 256, L = 10, D = 38 as for SMD).
+    let mut paper_store = ParamStore::new();
+    let paper_cfg = CaeConfig::new(38).embed_dim(256).window(16).layers(10);
+    let _paper_model = Cae::new(paper_cfg, &mut paper_store, &mut rng);
+    results.push(adam_step("D'256 L10 D38", &mut paper_store, &mut rng));
+    drop(paper_store);
+
+    // The denoising noise of one training batch (B = 32, w = 16, D = 38).
+    results.push(bench("rand_normal", "32x16x38", budget, || {
+        Tensor::rand_normal(&[32, 16, 38], 0.0, 0.1, &mut rng).recycle();
+    }));
+
     // --- Full-ensemble training & inference ------------------------------
     let series = sine_series(4, 600);
     let ens_budget = budget.max(Duration::from_millis(400));

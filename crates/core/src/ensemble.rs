@@ -379,7 +379,9 @@ impl CaeEnsemble {
     }
 
     /// Reconstruction of every listed window under one member, flattened
-    /// `(num_starts × w × recon_dim)` row-major.
+    /// `(num_starts × w × recon_dim)` row-major. Each chunk of
+    /// [`INFERENCE_BATCH`] windows is a pool task; the pieces join in
+    /// chunk order.
     pub(crate) fn reconstruct_all(
         model: &Cae,
         store: &ParamStore,
@@ -387,16 +389,17 @@ impl CaeEnsemble {
         starts: &[usize],
     ) -> Vec<f32> {
         let w = model.config().window;
-        let rd = model.config().recon_dim();
-        let mut out = Vec::with_capacity(starts.len() * w * rd);
-        for chunk in starts.chunks(INFERENCE_BATCH) {
-            let batch = Self::gather_windows(series, chunk, w);
+        let chunks: Vec<&[usize]> = starts.chunks(INFERENCE_BATCH).collect();
+        let pieces = par::map_indexed(chunks.len(), |i| {
+            let batch = Self::gather_windows(series, chunks[i], w);
+            let mut piece = Vec::new();
             model
                 .infer(store, &batch, Positions::All)
-                .recon_into(&mut out);
+                .recon_into(&mut piece);
             batch.recycle();
-        }
-        out
+            piece
+        });
+        pieces.concat()
     }
 
     /// Ensemble diversity DIV_F (Eq. 10) measured on the windows of

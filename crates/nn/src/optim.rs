@@ -1,6 +1,7 @@
 //! Gradient-descent optimizers over a [`ParamStore`].
 
 use cae_autograd::ParamStore;
+use cae_tensor::simd::{self, AdamStep};
 use cae_tensor::Tensor;
 
 /// Common optimizer interface: consume accumulated gradients, update
@@ -57,28 +58,31 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let ids: Vec<_> = store.ids().collect();
+        let step = AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            bias_correction1: 1.0 - self.beta1.powi(self.t as i32),
+            bias_correction2: 1.0 - self.beta2.powi(self.t as i32),
+        };
         assert_eq!(
-            ids.len(),
+            store.len(),
             self.m.len(),
             "optimizer layout does not match store"
         );
-        for (slot, id) in ids.into_iter().enumerate() {
-            let (value, grad) = store.value_mut_and_grad(id);
-            let m = &mut self.m[slot];
-            let v = &mut self.v[slot];
-            for i in 0..grad.len() {
-                let g = grad.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                value.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
+        for (((value, grad), m), v) in store
+            .values_mut_and_grads()
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+        {
+            simd::adam_update(
+                value.data_mut(),
+                m.data_mut(),
+                v.data_mut(),
+                grad.data(),
+                &step,
+            );
         }
         store.zero_grads();
     }
@@ -117,20 +121,21 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
         assert_eq!(
-            ids.len(),
+            store.len(),
             self.velocity.len(),
             "optimizer layout does not match store"
         );
-        for (slot, id) in ids.into_iter().enumerate() {
-            let (value, grad) = store.value_mut_and_grad(id);
-            let vel = &mut self.velocity[slot];
-            for i in 0..grad.len() {
-                let g = grad.data()[i];
-                let v = self.momentum * vel.data()[i] + g;
-                vel.data_mut()[i] = v;
-                value.data_mut()[i] -= self.lr * v;
+        for ((value, grad), vel) in store.values_mut_and_grads().zip(&mut self.velocity) {
+            for ((p, vel), &g) in value
+                .data_mut()
+                .iter_mut()
+                .zip(vel.data_mut())
+                .zip(grad.data())
+            {
+                let v = self.momentum * *vel + g;
+                *vel = v;
+                *p -= self.lr * v;
             }
         }
         store.zero_grads();
@@ -148,7 +153,7 @@ impl Optimizer for Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cae_autograd::Tape;
+    use cae_autograd::{ParamId, Tape};
 
     /// Minimizes f(w) = mean((w − c)²) and checks convergence to c.
     fn converges_to_constant(mut opt: impl Optimizer, store: &mut ParamStore, steps: usize) -> f32 {
@@ -192,6 +197,55 @@ mod tests {
         opt.step(&mut store);
         assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
         cae_tensor::assert_close(store.value(id).data(), &[-0.1, -0.1], 1e-6);
+    }
+
+    /// `Adam::step` against the textbook loop it vectorizes, by bits:
+    /// parameters of 15, 1037 and 7 elements end off the 8-lane grid.
+    #[test]
+    fn adam_step_matches_the_reference_loop_bit_for_bit() {
+        let shapes: [&[usize]; 3] = [&[3, 5], &[1037], &[7]];
+        let fill = |n: usize, seed: usize| -> Tensor {
+            let data = (0..n)
+                .map(|i| ((i * 7919 + seed * 31) % 1_009) as f32 / 504.5 - 1.0)
+                .collect();
+            Tensor::from_vec(data, &[n])
+        };
+        let mut store = ParamStore::new();
+        for (i, dims) in shapes.iter().enumerate() {
+            let n = dims.iter().product();
+            store.register(format!("p{i}"), fill(n, i).reshape(dims));
+        }
+        let mut reference: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = store
+            .ids()
+            .map(|id| {
+                let n = store.value(id).len();
+                (store.value(id).data().to_vec(), vec![0.0; n], vec![0.0; n])
+            })
+            .collect();
+        let (lr, b1, b2, eps) = (1e-3f32, 0.9f32, 0.999f32, 1e-8f32);
+        let mut opt = Adam::new(&store, lr);
+        for t in 1..=3 {
+            let ids: Vec<ParamId> = store.ids().collect();
+            for (k, &id) in ids.iter().enumerate() {
+                let n = store.value(id).len();
+                let g = fill(n, 10 * t + k).reshape(store.value(id).dims());
+                store.accumulate_grad(id, &g);
+                let (value, m, v) = &mut reference[k];
+                let (bc1, bc2) = (1.0 - b1.powi(t as i32), 1.0 - b2.powi(t as i32));
+                for i in 0..n {
+                    let g = g.data()[i];
+                    m[i] = b1 * m[i] + (1.0 - b1) * g;
+                    v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+                    value[i] -= lr * (m[i] / bc1) / ((v[i] / bc2).sqrt() + eps);
+                }
+            }
+            opt.step(&mut store);
+            for (k, &id) in ids.iter().enumerate() {
+                let got: Vec<u32> = store.value(id).data().iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u32> = reference[k].0.iter().map(|x| x.to_bits()).collect();
+                assert!(got == want, "param {k}, step {t}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,11 @@ impl Tensor {
 
     /// Gaussian samples with the given mean and standard deviation,
     /// generated via Box–Muller (avoids a `rand_distr` dependency).
+    ///
+    /// Each pair of outputs comes from one `(u₁, u₂)` draw; the draws are
+    /// taken from `rng` in order first, then transformed on the worker
+    /// pool, so the result is the same at every thread count. An odd
+    /// count still draws a whole last pair and keeps its first value.
     pub fn rand_normal<R: Rng + ?Sized>(
         dims: &[usize],
         mean: f32,
@@ -26,14 +31,18 @@ impl Tensor {
         rng: &mut R,
     ) -> Tensor {
         let n: usize = dims.iter().product();
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            let (z0, z1) = box_muller(rng);
-            data.push(mean + std * z0);
-            if data.len() < n {
-                data.push(mean + std * z1);
-            }
+        let mut data = crate::scratch::take(2 * n.div_ceil(2));
+        for _ in 0..n.div_ceil(2) {
+            let u1: f32 = rand::distributions::Open01.sample(rng);
+            let u2: f32 = rng.gen_range(0.0f32..1.0);
+            data.extend_from_slice(&[u1, u2]);
         }
+        crate::par::for_each_chunk(&mut data, 2, |_, pair| {
+            let (z0, z1) = box_muller(pair[0], pair[1]);
+            pair[0] = mean + std * z0;
+            pair[1] = mean + std * z1;
+        });
+        data.truncate(n);
         Tensor::from_vec(data, dims)
     }
 
@@ -67,10 +76,9 @@ impl Tensor {
     }
 }
 
-/// One Box–Muller draw producing two independent standard normals.
-fn box_muller<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
-    let u1: f32 = rand::distributions::Open01.sample(rng);
-    let u2: f32 = rng.gen_range(0.0f32..1.0);
+/// The Box–Muller transform of one uniform pair `u₁ ∈ (0, 1)`,
+/// `u₂ ∈ [0, 1)` into two independent standard normals.
+fn box_muller(u1: f32, u2: f32) -> (f32, f32) {
     let r = (-2.0 * u1.ln()).sqrt();
     let theta = 2.0 * std::f32::consts::PI * u2;
     (r * theta.cos(), r * theta.sin())
@@ -104,6 +112,47 @@ mod tests {
         let a = Tensor::rand_normal(&[64], 0.0, 1.0, &mut StdRng::seed_from_u64(7));
         let b = Tensor::rand_normal(&[64], 0.0, 1.0, &mut StdRng::seed_from_u64(7));
         assert_eq!(a.data(), b.data());
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The exact values of a fixed-seed draw, recorded when each pair was
+    /// still transformed as it was drawn: drawing first and transforming
+    /// afterwards must change neither the RNG order nor a bit.
+    #[test]
+    fn normal_draws_are_pinned_at_a_fixed_seed() {
+        let t = Tensor::rand_normal(&[16], 0.5, 2.0, &mut StdRng::seed_from_u64(2024));
+        assert_eq!(
+            bits(&t),
+            [
+                0x3fbb397e, 0xc086a52e, 0x403dc067, 0x408bcc9a, 0x3f0bd105, 0x3ff74f86, 0x3ec283b8,
+                0x404e738c, 0x40238f95, 0x3f96b716, 0x3ffc90ee, 0xbe31f044, 0xbe2d19a8, 0x3f9f859e,
+                0x3f83a857, 0x3fea970b,
+            ]
+        );
+        // An odd count draws a whole last pair and keeps its first value.
+        let t = Tensor::rand_normal(&[17], 0.0, 1.0, &mut StdRng::seed_from_u64(2024));
+        assert_eq!(
+            bits(&t),
+            [
+                0x3ef672fb, 0xc016a52e, 0x3f9dc067, 0x3ff79934, 0x3cbd104f, 0x3f374f86, 0xbd75f121,
+                0x3fae738c, 0x3f838f95, 0x3ead6e2d, 0x3f3c90ee, 0xbeac7c11, 0xbeab466a, 0x3ebf0b3d,
+                0x3e8750ae, 0x3f2a970b, 0xbfb85c2b,
+            ]
+        );
+    }
+
+    #[test]
+    fn odd_count_is_a_prefix_of_the_next_even_count() {
+        for n in [1, 3, 9, 4097] {
+            let odd = Tensor::rand_normal(&[n], 0.0, 1.0, &mut StdRng::seed_from_u64(5));
+            let even = Tensor::rand_normal(&[n + 1], 0.0, 1.0, &mut StdRng::seed_from_u64(5));
+            assert_eq!(bits(&odd)[..], bits(&even)[..n], "n = {n}");
+        }
+        let empty = Tensor::rand_normal(&[0], 0.0, 1.0, &mut StdRng::seed_from_u64(5));
+        assert!(empty.data().is_empty());
     }
 
     #[test]

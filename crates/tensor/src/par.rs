@@ -538,15 +538,17 @@ where
 }
 
 /// Runs `f(i)` for every `i in 0..n` in parallel, collecting results in
-/// order. Equivalent to [`map_indexed_min`] with a minimum of one task per
-/// worker — use this for coarse-grained work where every task is heavy
-/// (training independent ensemble members, growing isolation-forest trees).
+/// order. Use this for coarse-grained work where every task is heavy
+/// (training independent ensemble members, growing isolation-forest trees,
+/// the deferred weight gradients of a backward pass): each index is its
+/// own pool task, claimed dynamically, so tasks of uneven cost balance
+/// across the workers.
 pub fn map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_indexed_min(n, 1, f)
+    map_spans(n, threads().min(n), 1, f)
 }
 
 /// Runs `f(i)` for every `i in 0..n` in parallel, fanning out only when
@@ -555,7 +557,8 @@ where
 /// The minimum is the granularity guard for cheap per-item workloads
 /// (e.g. per-point neighbor queries): with `n = 300` and
 /// `min_per_worker = 128` at most two workers engage, and below 256 items
-/// the loop stays sequential instead of waking the whole pool.
+/// the loop stays sequential instead of waking the whole pool. Items are
+/// grouped into one contiguous span per worker.
 pub fn map_indexed_min<T, F>(n: usize, min_per_worker: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -563,11 +566,21 @@ where
 {
     let by_granularity = n / min_per_worker.max(1);
     let workers = threads().min(by_granularity.max(1)).min(n.max(1));
+    map_spans(n, workers, n.div_ceil(workers), f)
+}
+
+/// Runs `f(i)` for every `i in 0..n` on up to `workers` threads, one pool
+/// task per span of `per` consecutive indices, collecting results in
+/// order.
+fn map_spans<T, F>(n: usize, workers: usize, per: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let per = n.div_ceil(workers);
     let spans = n.div_ceil(per);
     let base = SyncMutPtr(slots.as_mut_ptr());
     run_tasks(spans, workers, &|s| {
@@ -657,6 +670,25 @@ mod tests {
         let big = map_indexed_min(1000, 128, |i| i * 3);
         set_threads(1);
         assert_eq!(big, (0..1000).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_indexed_runs_uneven_tasks_in_order() {
+        let _gate = lock();
+        let work = |i: usize| fixed_work(if i < 3 { 4_000 } else { 50 }, i);
+        set_threads(1);
+        let seq = map_indexed(12, work);
+        set_threads(2);
+        let par = map_indexed(12, work);
+        set_threads(1);
+        assert_eq!(seq, par);
+    }
+
+    /// `steps` rounds of integer mixing seeded by `seed`.
+    fn fixed_work(steps: u32, seed: usize) -> u32 {
+        (0..steps).fold(seed as u32, |x, s| {
+            x.wrapping_mul(1_664_525).wrapping_add(s)
+        })
     }
 
     #[test]

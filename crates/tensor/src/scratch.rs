@@ -10,8 +10,10 @@
 //!
 //! Recycling is wired into the autograd tape (`Tape::clear`/`Drop` recycle
 //! every node) and [`Tensor::recycle`](crate::Tensor::recycle), so a steady
-//! training loop reaches a fixed point where every step runs allocation-free
-//! out of the pool.
+//! training loop takes most of its buffers out of the pool. A tape larger
+//! than [`MAX_POOLED_BUFFERS`] still allocates the rest on every step: a
+//! D′ = 24 training step at D = 38, B = 32 was counted at about 80
+//! allocations of at least 16 KiB.
 //!
 //! The pool is thread-local: no locks, and kernels running on pool workers
 //! recycle into their own lists. Buffers above [`MAX_POOLED_LEN`] elements,

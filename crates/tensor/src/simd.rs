@@ -314,6 +314,51 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
+/// The constants of one Adam step (Kingma & Ba): learning rate, moment
+/// decays, ε, and the bias corrections `1 − β₁ᵗ`, `1 − β₂ᵗ` of step `t`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AdamStep {
+    pub lr: f32,
+    pub beta1: f32,
+    pub beta2: f32,
+    pub eps: f32,
+    pub bias_correction1: f32,
+    pub bias_correction2: f32,
+}
+
+/// One Adam update of a parameter's elements, in place: the moments
+/// `m ← β₁·m + (1−β₁)·g` and `v ← β₂·v + (1−β₂)·g·g`, then
+/// `value −= lr·m̂ / (√v̂ + ε)` with `m̂ = m / (1−β₁ᵗ)`, `v̂ = v / (1−β₂ᵗ)`.
+///
+/// Unlike the other kernels here, both dispatch paths agree **bit for
+/// bit**: the AVX2 arm uses only correctly rounded `mul`/`add`/`sub`/
+/// `div`/`sqrt`, no fused multiply-add, in exactly the scalar
+/// association, so training does not depend on the vector ISA through
+/// the optimizer.
+pub fn adam_update(value: &mut [f32], m: &mut [f32], v: &mut [f32], g: &[f32], step: &AdamStep) {
+    let n = value.len();
+    assert!(
+        m.len() == n && v.len() == n && g.len() == n,
+        "adam_update length mismatch"
+    );
+    dispatch!(adam_update(value, m, v, g, step));
+    for (((p, m), v), &g) in value.iter_mut().zip(m).zip(v).zip(g) {
+        adam_element(p, m, v, g, step);
+    }
+}
+
+/// [`adam_update`] of one element: the reference association.
+#[inline(always)]
+fn adam_element(value: &mut f32, m: &mut f32, v: &mut f32, g: f32, s: &AdamStep) {
+    let mi = s.beta1 * *m + (1.0 - s.beta1) * g;
+    let vi = s.beta2 * *v + (1.0 - s.beta2) * g * g;
+    *m = mi;
+    *v = vi;
+    let m_hat = mi / s.bias_correction1;
+    let v_hat = vi / s.bias_correction2;
+    *value -= s.lr * m_hat / (v_hat.sqrt() + s.eps);
+}
+
 // ---------------------------------------------------------------------
 // AVX2 + FMA implementations
 // ---------------------------------------------------------------------
@@ -777,6 +822,59 @@ mod avx2 {
 
     /// # Safety
     ///
+    /// AVX2+FMA must be runtime-verified, and `m`, `v` and `g` must be at
+    /// least as long as `value`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn adam_update(
+        value: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &[f32],
+        step: &super::AdamStep,
+    ) {
+        debug_assert!(m.len() >= value.len() && v.len() >= value.len() && g.len() >= value.len());
+        let splat = _mm256_set1_ps;
+        let (beta1, beta2) = (splat(step.beta1), splat(step.beta2));
+        let (one_minus_beta1, one_minus_beta2) = (splat(1.0 - step.beta1), splat(1.0 - step.beta2));
+        let (bc1, bc2) = (splat(step.bias_correction1), splat(step.bias_correction2));
+        let (lr, eps) = (splat(step.lr), splat(step.eps));
+        lanes!(
+            value.len(),
+            i,
+            {
+                // SAFETY: `i + 8 <= value.len()`, which bounds the other
+                // three slices too (length contract).
+                unsafe {
+                    let gi = _mm256_loadu_ps(g.as_ptr().add(i));
+                    let mi = _mm256_add_ps(
+                        _mm256_mul_ps(beta1, _mm256_loadu_ps(m.as_ptr().add(i))),
+                        _mm256_mul_ps(one_minus_beta1, gi),
+                    );
+                    let vi = _mm256_add_ps(
+                        _mm256_mul_ps(beta2, _mm256_loadu_ps(v.as_ptr().add(i))),
+                        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, gi), gi),
+                    );
+                    _mm256_storeu_ps(m.as_mut_ptr().add(i), mi);
+                    _mm256_storeu_ps(v.as_mut_ptr().add(i), vi);
+                    let m_hat = _mm256_div_ps(mi, bc1);
+                    let v_hat = _mm256_div_ps(vi, bc2);
+                    let update = _mm256_div_ps(
+                        _mm256_mul_ps(lr, m_hat),
+                        _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps),
+                    );
+                    let p = value.as_mut_ptr().add(i);
+                    _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), update));
+                }
+            },
+            t,
+            {
+                super::adam_element(&mut value[t], &mut m[t], &mut v[t], g[t], step);
+            }
+        );
+    }
+
+    /// # Safety
+    ///
     /// AVX2+FMA must be runtime-verified.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn softmax_row(row: &mut [f32]) {
@@ -845,6 +943,44 @@ mod tests {
                 "tanh({x}) = {} vs {rt}",
                 th[i]
             );
+        }
+    }
+
+    /// The dispatched Adam update equals the scalar reference bit for bit
+    /// over several steps, at lengths on and off the 8-lane grid.
+    #[test]
+    fn adam_update_matches_scalar_reference_bit_for_bit() {
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for len in [0, 1, 7, 8, 9, 23, 64, 101] {
+            let init = |seed: usize, scale: f32| -> Vec<f32> {
+                (0..len)
+                    .map(|i| (((i * 7919 + seed * 104_729) % 2_003) as f32 / 1_001.0 - 1.0) * scale)
+                    .collect()
+            };
+            let (mut value, mut m, mut v) = (init(1, 0.5), vec![0.0; len], vec![0.0; len]);
+            let (mut value_ref, mut m_ref, mut v_ref) = (value.clone(), m.clone(), v.clone());
+            for t in 1..=5 {
+                // Gradients spanning several magnitudes, zeros included.
+                let mut g = init(t + 1, 10f32.powi(2 - 2 * t as i32));
+                if len > 3 {
+                    g[3] = 0.0;
+                }
+                let step = AdamStep {
+                    lr: 1e-3,
+                    beta1: 0.9,
+                    beta2: 0.999,
+                    eps: 1e-8,
+                    bias_correction1: 1.0 - 0.9f32.powi(t as i32),
+                    bias_correction2: 1.0 - 0.999f32.powi(t as i32),
+                };
+                adam_update(&mut value, &mut m, &mut v, &g, &step);
+                for i in 0..len {
+                    adam_element(&mut value_ref[i], &mut m_ref[i], &mut v_ref[i], g[i], &step);
+                }
+                assert_eq!(bits(&value), bits(&value_ref), "value, len {len}, step {t}");
+                assert_eq!(bits(&m), bits(&m_ref), "m, len {len}, step {t}");
+                assert_eq!(bits(&v), bits(&v_ref), "v, len {len}, step {t}");
+            }
         }
     }
 

@@ -161,6 +161,28 @@ fn reductions_bit_exact_across_thread_counts() {
 }
 
 #[test]
+fn rand_normal_bit_exact_across_thread_counts() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let _gate = lock();
+    // The training noise shape (B = 32, w = 16, D = 38) and odd counts
+    // on either side of `PAR_THRESHOLD`, so the transform fans out.
+    assert_bit_exact_across_threads("rand_normal", || {
+        [
+            32 * 16 * 38,
+            par::PAR_THRESHOLD + 1,
+            2 * par::PAR_THRESHOLD - 1,
+            7,
+        ]
+        .iter()
+        .map(|&n| {
+            Tensor::rand_normal(&[n], 0.25, 0.1, &mut StdRng::seed_from_u64(n as u64)).into_vec()
+        })
+        .collect()
+    });
+}
+
+#[test]
 fn results_unchanged_after_scratch_recycling() {
     let _gate = lock();
     par::set_threads(2);
