@@ -4,8 +4,8 @@ use crate::config::{CaeConfig, EnsembleConfig};
 use crate::diversity;
 use crate::model::{Cae, Positions};
 use crate::persist::{self, FallbackExhausted, PersistError, RecoveredLoad};
-use crate::score::{median, median_scores};
 use cae_autograd::{transfer_fraction, ParamStore, Tape};
+use cae_data::scoring::{median, median_scores};
 use cae_data::{num_windows, Detector, Scaler, TimeSeries};
 use cae_nn::{Adam, Optimizer};
 use cae_tensor::{par, scratch, Tensor};
@@ -720,7 +720,7 @@ impl Detector for CaeEnsemble {
 mod tests {
     use super::*;
     use crate::config::ReconstructionTarget;
-    use crate::score::series_scores_from_window_errors;
+    use cae_data::scoring::series_scores_from_window_errors;
 
     fn sine_series(len: usize, dim: usize) -> TimeSeries {
         let mut s = TimeSeries::empty(dim);

@@ -61,7 +61,6 @@ pub mod hyper;
 mod model;
 pub mod persist;
 pub mod repair;
-pub mod score;
 mod streaming;
 
 pub use config::{CaeConfig, EnsembleConfig, ReconstructionTarget};

@@ -13,7 +13,8 @@
 //! * [`journal`] — the segmented write-ahead observation journal behind
 //!   durable fleet state: checksummed per-record frames, size-based
 //!   segment rotation, torn-tail truncation on recovery;
-//! * [`windows`] — sliding windows of size `w` with stride 1;
+//! * [`num_windows`] — the count of sliding windows of size `w` with
+//!   stride 1;
 //! * [`Dataset`] — a named train/test pair with test-time ground-truth
 //!   labels (used exclusively for evaluation, never for training);
 //! * [`datasets`] — seeded synthetic generators standing in for the five
@@ -40,4 +41,4 @@ pub use journal::{
 };
 pub use scaler::Scaler;
 pub use series::{Dataset, TimeSeries};
-pub use window::{num_windows, window, windows, WindowIter};
+pub use window::num_windows;

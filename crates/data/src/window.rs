@@ -2,10 +2,8 @@
 //!
 //! Windows of size `w` slide one observation at a time ("the first window is
 //! ⟨s₁, …, s_w⟩ and the second is ⟨s₂, …, s_{w+1}⟩", Section 3). Because
-//! [`TimeSeries`] is time-major, each window is a single contiguous slice —
-//! iteration allocates nothing.
-
-use crate::TimeSeries;
+//! [`TimeSeries`](crate::TimeSeries) is time-major, window `i` of a
+//! `D`-dimensional series is the contiguous slice `i·D .. (i + w)·D`.
 
 /// Number of sliding windows of size `w` over a series of length `len`
 /// (0 when the series is shorter than one window).
@@ -13,71 +11,6 @@ pub fn num_windows(len: usize, w: usize) -> usize {
     assert!(w > 0, "window size must be positive");
     len.saturating_sub(w - 1)
 }
-
-/// The `i`-th window as a contiguous `(w × D)` slice.
-///
-/// Panics with an explicit range message when `i` is not a valid window
-/// index (rather than an opaque slice-bounds panic from the raw indexing).
-pub fn window(series: &TimeSeries, w: usize, i: usize) -> &[f32] {
-    let n = num_windows(series.len(), w);
-    assert!(
-        i < n,
-        "window index {i} out of range: series of {} observations has {n} windows of size {w}",
-        series.len()
-    );
-    let d = series.dim();
-    &series.data()[i * d..(i + w) * d]
-}
-
-/// Iterator over all sliding windows of `series`.
-pub fn windows(series: &TimeSeries, w: usize) -> WindowIter<'_> {
-    assert!(w > 0, "window size must be positive");
-    WindowIter {
-        series,
-        w,
-        next: 0,
-        count: num_windows(series.len(), w),
-    }
-}
-
-/// Borrowing iterator produced by [`windows`].
-pub struct WindowIter<'a> {
-    series: &'a TimeSeries,
-    w: usize,
-    next: usize,
-    count: usize,
-}
-
-impl std::fmt::Debug for WindowIter<'_> {
-    /// Cursor state only — the borrowed series is the full data set.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WindowIter")
-            .field("w", &self.w)
-            .field("next", &self.next)
-            .field("count", &self.count)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> Iterator for WindowIter<'a> {
-    type Item = &'a [f32];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.count {
-            return None;
-        }
-        let out = window(self.series, self.w, self.next);
-        self.next += 1;
-        Some(out)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.count - self.next;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for WindowIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -89,51 +22,5 @@ mod tests {
         assert_eq!(num_windows(3, 3), 1);
         assert_eq!(num_windows(2, 3), 0);
         assert_eq!(num_windows(0, 4), 0);
-    }
-
-    #[test]
-    fn windows_slide_one_step() {
-        let s = TimeSeries::new((0..8).map(|x| x as f32).collect(), 2);
-        let all: Vec<&[f32]> = windows(&s, 2).collect();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0], &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(all[1], &[2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(all[2], &[4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn iterator_is_exact_size() {
-        let s = TimeSeries::univariate((0..10).map(|x| x as f32).collect());
-        let it = windows(&s, 4);
-        assert_eq!(it.len(), 7);
-        assert_eq!(it.count(), 7);
-    }
-
-    #[test]
-    fn short_series_yields_nothing() {
-        let s = TimeSeries::univariate(vec![1.0, 2.0]);
-        assert_eq!(windows(&s, 5).count(), 0);
-    }
-
-    #[test]
-    fn boundary_window_is_the_series_tail() {
-        let s = TimeSeries::new((0..10).map(|x| x as f32).collect(), 2);
-        // 5 observations, w = 3 ⇒ windows 0..=2; the last one is valid.
-        assert_eq!(window(&s, 3, 2), &[4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "window index 3 out of range")]
-    fn out_of_range_window_panics_with_context() {
-        let s = TimeSeries::new((0..10).map(|x| x as f32).collect(), 2);
-        window(&s, 3, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn window_on_too_short_series_panics_with_context() {
-        // Shorter than one window: previously an unchecked slice panic.
-        let s = TimeSeries::univariate(vec![1.0, 2.0]);
-        window(&s, 5, 0);
     }
 }

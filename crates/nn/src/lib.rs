@@ -8,7 +8,8 @@
 //! * [`GluConv1d`] — the gated convolution block of the paper (Eq. 4–5);
 //! * [`GruCell`], [`LstmCell`] — recurrent cells for the RAE baselines;
 //! * [`Activation`] — the activation alphabet used across models;
-//! * [`Adam`], [`Sgd`] — optimizers over a [`ParamStore`](cae_autograd::ParamStore).
+//! * [`Adam`] — the optimizer, behind the [`Optimizer`] trait, over a
+//!   [`ParamStore`](cae_autograd::ParamStore).
 //!
 //! Layers hold only [`ParamId`](cae_autograd::ParamId)s; the values live in
 //! the model's `ParamStore`, which keeps parameter transfer between ensemble
@@ -25,5 +26,5 @@ pub use activation::Activation;
 pub use conv::{Conv1dLayer, GluConv1d};
 pub use init::{Initializer, XavierInit, ZerosInit};
 pub use linear::Linear;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, Optimizer};
 pub use rnn::{GruCell, LstmCell, LstmState};

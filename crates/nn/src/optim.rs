@@ -96,60 +96,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and momentum (0 disables momentum).
-    pub fn new(store: &ParamStore, lr: f32, momentum: f32) -> Self {
-        let velocity = store
-            .ids()
-            .map(|id| Tensor::zeros(store.value(id).dims()))
-            .collect();
-        Sgd {
-            lr,
-            momentum,
-            velocity,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore) {
-        assert_eq!(
-            store.len(),
-            self.velocity.len(),
-            "optimizer layout does not match store"
-        );
-        for ((value, grad), vel) in store.values_mut_and_grads().zip(&mut self.velocity) {
-            for ((p, vel), &g) in value
-                .data_mut()
-                .iter_mut()
-                .zip(vel.data_mut())
-                .zip(grad.data())
-            {
-                let v = self.momentum * *vel + g;
-                *vel = v;
-                *p -= self.lr * v;
-            }
-        }
-        store.zero_grads();
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,22 +126,14 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut store = ParamStore::new();
-        store.register("w", Tensor::zeros(&[3]));
-        let opt = Sgd::new(&store, 0.3, 0.5);
-        let dist = converges_to_constant(opt, &mut store, 200);
-        assert!(dist < 1e-2, "SGD did not converge: distance {dist}");
-    }
-
-    #[test]
     fn step_resets_gradients() {
         let mut store = ParamStore::new();
         let id = store.register("w", Tensor::zeros(&[2]));
         store.accumulate_grad(id, &Tensor::ones(&[2]));
-        let mut opt = Sgd::new(&store, 0.1, 0.0);
+        let mut opt = Adam::new(&store, 0.1);
         opt.step(&mut store);
         assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
+        // Adam's first bias-corrected step moves each value by `lr`.
         cae_tensor::assert_close(store.value(id).data(), &[-0.1, -0.1], 1e-6);
     }
 

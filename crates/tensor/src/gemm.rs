@@ -1,11 +1,11 @@
 //! Packed, register-blocked f32 GEMM core (AVX2 + FMA).
 //!
-//! Every dense contraction in the crate — the three 2-D matmul variants,
-//! the three batched variants, and the convolutions — reduces to one
-//! primitive:
+//! Every dense contraction in the crate — the matmul family behind
+//! [`crate::matmul`]'s one entry (three layouts, 2-D or batched), the
+//! 1×1 channel map, and the convolutions — reduces to one primitive:
 //!
 //! ```text
-//! C (m × n) += A (m × depth) · B (depth × n)
+//! C (m × n) = A (m × depth) · B (depth × n)
 //! ```
 //!
 //! where A and B are *views* ([`APanelSrc`] / [`BPanelSrc`], or a panel
@@ -30,11 +30,14 @@
 //!
 //! # Two drivers
 //!
-//! * [`gemm`] serves the matmuls and the kernel gradient. It packs B one
-//!   depth slab of at most [`KC`] steps at a time, so the packed block
-//!   stays cache-resident, and accumulates the slabs into C in a fixed
-//!   order. Row blocks fan out over the persistent worker pool
-//!   ([`par::for_each_index`]), each worker packing its own A panels.
+//! * [`gemm`] serves the matmul family, the channel map and the kernel
+//!   gradient. The matmul entry picks the layout's views — [`ARows`] or
+//!   [`ACols`] for A, [`BRows`] or [`BColsT`] for B — and calls it once
+//!   per matrix. It packs B one depth slab of at most [`KC`] steps at a
+//!   time, so the packed block stays cache-resident, and accumulates the
+//!   slabs into C in a fixed order. Row blocks fan out over the
+//!   persistent worker pool ([`par::for_each_index`]), each worker
+//!   packing its own A panels.
 //! * [`gemm_panels`] serves every convolution forward and input gradient
 //!   ([`crate::conv`]): A is packed once by [`pack_a`], the whole depth
 //!   runs in one microkernel pass, and the column panels fan out, each
@@ -654,46 +657,6 @@ unsafe fn direct_kernel(m: usize, n: usize, depth: usize, v: &Direct<'_>, out: *
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Contraction entry points
-// ---------------------------------------------------------------------
-
-/// `out (m×n) += A (m×k) · B (k×n)`, both row-major.
-pub(crate) fn matmul_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm(
-        m,
-        n,
-        k,
-        &ARows { data: a, ld: k },
-        &BRows { data: b, ld: n },
-        out,
-    );
-}
-
-/// `out (m×n) += Aᵀ · B` with `A: (k, m)`, `B: (k, n)`.
-pub(crate) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
-    gemm(
-        m,
-        n,
-        k,
-        &ACols { data: a, ld: m },
-        &BRows { data: b, ld: n },
-        out,
-    );
-}
-
-/// `out (m×n) += A · Bᵀ` with `A: (m, k)`, `B: (n, k)`.
-pub(crate) fn matmul_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm(
-        m,
-        n,
-        k,
-        &ARows { data: a, ld: k },
-        &BColsT { data: b, ld: k },
-        out,
-    );
 }
 
 /// Dimensions of a kernel-gradient GEMM ([`conv_kernel_grad`]).

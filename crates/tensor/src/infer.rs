@@ -36,21 +36,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     assert_eq!(a.len(), m * k, "matmul_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_into output length");
-    if n == 0 {
-        return;
-    }
-    // A zero-depth product is all zeros, which only the scalar arm
-    // writes (the packed one stores nothing).
-    #[cfg(target_arch = "x86_64")]
-    if k > 0 && gemm::enabled(m * k * n) {
-        gemm::matmul_nn(a, b, out, m, k, n);
-        return;
-    }
-    out.fill(0.0);
-    // Row-parallel: each chunk is one output row.
-    par::for_each_chunk(out, n, |i, orow| {
-        matmul::matmul_into(&a[i * k..(i + 1) * k], b, orow, 1, k, n);
-    });
+    matmul::product_into(matmul::Layout::Nn, 1, [m, k, n], a, b, out);
 }
 
 /// Column geometry of a **batch-folded** activation `(C, B·T)`: each

@@ -1,25 +1,46 @@
 //! Matrix multiplication kernels.
 //!
-//! Every variant dispatches at runtime (see [`crate::simd`]): on x86_64
-//! with AVX2+FMA the contraction routes through the packed 6×16
-//! register-tile GEMM core in [`crate::gemm`]; everywhere else (or under
-//! the scalar override) it runs the portable register-blocked loops in
-//! this file. The scalar 2-D kernel unrolls the `ikj` loop four deep
-//! along `k`, so each pass over an output row folds in four rows of `B`
-//! with four independent fused multiply-adds — branch-free, so the
-//! compiler can autovectorize with the baseline instruction set.
-//! Transposed variants use the same 4-way blocking; dot-product kernels
-//! accumulate in four partial sums.
+//! The six [`Tensor`] products (`matmul`, `matmul_tn`, `matmul_nt` and the
+//! batched `bmm`, `bmm_tn`, `bmm_nt`) and [`crate::infer::matmul_into`]
+//! check their shapes and run one entry, [`product_into`]. It takes the
+//! operand [`Layout`] and a batch count, makes the packed-or-scalar
+//! decision once per op ([`gemm::enabled`](crate::gemm) on `m·k·n`, see
+//! [`crate::simd`]) and runs the batches through one
+//! [`par::for_each_chunk`]. Each matrix then takes one of two arms:
 //!
-//! Large 2-D products parallelize over output-row blocks and batched
-//! kernels over batch elements, both through the persistent worker pool
-//! (see [`crate::par`]). Output buffers come from the thread-local
-//! scratch pool ([`crate::scratch`]).
+//! * on x86_64 with AVX2+FMA, the packed 6×16 register-tile driver
+//!   [`gemm::gemm`](crate::gemm) with that layout's operand views;
+//! * everywhere else (or under the scalar override) the portable
+//!   register-blocked loops in this file. `A·B` unrolls the `ikj` loop
+//!   four deep along `k` per output row, so each pass folds in four rows
+//!   of `B` with four independent fused multiply-adds — branch-free, so
+//!   the compiler can autovectorize with the baseline instruction set.
+//!   `Aᵀ·B` uses the same 4-way blocking over the whole matrix, and
+//!   `A·Bᵀ` accumulates each element's dot product in four partial sums.
+//!
+//! Both arms write every output element, so outputs need no zeroing.
+//! A single product parallelizes inside the arm (packed row blocks, or
+//! output rows of scalar `A·B` and `A·Bᵀ`), several over batch elements;
+//! both run on the persistent worker pool (see [`crate::par`]) and are
+//! bit-exact across thread counts.
+//! Output buffers come from the thread-local scratch pool
+//! ([`crate::scratch`]).
 
 #[cfg(target_arch = "x86_64")]
 use crate::gemm;
 use crate::Tensor;
 use crate::{par, scratch};
+
+/// Operand layout of a dense product.
+#[derive(Clone, Copy)]
+pub(crate) enum Layout {
+    /// `A · B`, `A: (m, k)`, `B: (k, n)`.
+    Nn,
+    /// `Aᵀ · B`, `A: (k, m)`, `B: (k, n)`.
+    Tn,
+    /// `A · Bᵀ`, `A: (m, k)`, `B: (n, k)`.
+    Nt,
+}
 
 impl Tensor {
     /// 2-D matrix product: `(M, K) · (K, N) → (M, N)`.
@@ -27,24 +48,7 @@ impl Tensor {
     /// Rows of the output are computed independently, so large products
     /// fan out over the worker pool in contiguous row blocks.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rank(),
-            2,
-            "matmul lhs must be rank 2, got {}",
-            self.rank()
-        );
-        assert_eq!(
-            other.rank(),
-            2,
-            "matmul rhs must be rank 2, got {}",
-            other.rank()
-        );
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(k, k2, "matmul inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_full(m * n);
-        crate::infer::matmul_into(self.data(), other.data(), &mut out, m, k, n);
-        Tensor::from_vec(out, &[m, n])
+        product("matmul", Layout::Nn, 2, self, other)
     }
 
     /// 2-D product with the left operand transposed: `Aᵀ · B`, where
@@ -53,46 +57,13 @@ impl Tensor {
     /// Equivalent to `self.transpose().matmul(other)` without materializing
     /// the transpose.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.rank(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(k, k2, "matmul_tn inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(m * n);
-        #[cfg(target_arch = "x86_64")]
-        if n > 0 && gemm::enabled(m * k * n) {
-            gemm::matmul_tn(self.data(), other.data(), &mut out, k, m, n);
-            return Tensor::from_vec(out, &[m, n]);
-        }
-        matmul_tn_into(self.data(), other.data(), &mut out, k, m, n);
-        Tensor::from_vec(out, &[m, n])
+        product("matmul_tn", Layout::Tn, 2, self, other)
     }
 
     /// 2-D product with the right operand transposed: `A · Bᵀ`, where
     /// `A: (M, K)`, `B: (N, K)`, producing `(M, N)`.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.rank(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (n, k2) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(k, k2, "matmul_nt inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(m * n);
-        if n > 0 {
-            let lhs = self.data();
-            let rhs = other.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(m * k * n) {
-                gemm::matmul_nt(lhs, rhs, &mut out, m, k, n);
-                return Tensor::from_vec(out, &[m, n]);
-            }
-            par::for_each_chunk(&mut out, n, |i, orow| {
-                let arow = &lhs[i * k..(i + 1) * k];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    *o = dot(arow, &rhs[j * k..(j + 1) * k]);
-                }
-            });
-        }
-        Tensor::from_vec(out, &[m, n])
+        product("matmul_nt", Layout::Nt, 2, self, other)
     }
 
     /// Batched 3-D matrix product: `(B, M, K) · (B, K, N) → (B, M, N)`.
@@ -100,42 +71,7 @@ impl Tensor {
     /// Batches are processed in parallel when the global parallelism level
     /// (see [`par::set_threads`]) is greater than one.
     pub fn bmm(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rank(),
-            3,
-            "bmm lhs must be rank 3, got {}",
-            self.rank()
-        );
-        assert_eq!(
-            other.rank(),
-            3,
-            "bmm rhs must be rank 3, got {}",
-            other.rank()
-        );
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        assert_eq!(b, b2, "bmm batch dims differ: {b} vs {b2}");
-        assert_eq!(k, k2, "bmm inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(b * m * n);
-        {
-            let lhs = self.data();
-            let rhs = other.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(m * k * n) {
-                par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                    let a = &lhs[bi * m * k..(bi + 1) * m * k];
-                    let bdat = &rhs[bi * k * n..(bi + 1) * k * n];
-                    gemm::matmul_nn(a, bdat, chunk, m, k, n);
-                });
-                return Tensor::from_vec(out, &[b, m, n]);
-            }
-            par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                let a = &lhs[bi * m * k..(bi + 1) * m * k];
-                let bdat = &rhs[bi * k * n..(bi + 1) * k * n];
-                matmul_into(a, bdat, chunk, m, k, n);
-            });
-        }
-        Tensor::from_vec(out, &[b, m, n])
+        product("bmm", Layout::Nn, 3, self, other)
     }
 
     /// Batched product with the right operand transposed:
@@ -144,70 +80,116 @@ impl Tensor {
     /// This is the attention-score kernel `Z · Eᵀ` (paper Eq. 7) without
     /// materializing the transpose.
     pub fn bmm_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 3, "bmm_nt lhs must be rank 3");
-        assert_eq!(other.rank(), 3, "bmm_nt rhs must be rank 3");
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, n, k2) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        assert_eq!(b, b2, "bmm_nt batch dims differ: {b} vs {b2}");
-        assert_eq!(k, k2, "bmm_nt inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(b * m * n);
-        {
-            let lhs = self.data();
-            let rhs = other.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(m * k * n) {
-                par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                    let a = &lhs[bi * m * k..(bi + 1) * m * k];
-                    let bdat = &rhs[bi * n * k..(bi + 1) * n * k];
-                    gemm::matmul_nt(a, bdat, chunk, m, k, n);
-                });
-                return Tensor::from_vec(out, &[b, m, n]);
-            }
-            par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                let a = &lhs[bi * m * k..(bi + 1) * m * k];
-                let bdat = &rhs[bi * n * k..(bi + 1) * n * k];
-                for i in 0..m {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let orow = &mut chunk[i * n..(i + 1) * n];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o = dot(arow, &bdat[j * k..(j + 1) * k]);
-                    }
-                }
-            });
-        }
-        Tensor::from_vec(out, &[b, m, n])
+        product("bmm_nt", Layout::Nt, 3, self, other)
     }
 
     /// Batched product with the left operand transposed:
     /// `(B, K, M)ᵀ · (B, K, N) → (B, M, N)`.
     pub fn bmm_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 3, "bmm_tn lhs must be rank 3");
-        assert_eq!(other.rank(), 3, "bmm_tn rhs must be rank 3");
-        let (b, k, m) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (other.dims()[0], other.dims()[1], other.dims()[2]);
-        assert_eq!(b, b2, "bmm_tn batch dims differ: {b} vs {b2}");
-        assert_eq!(k, k2, "bmm_tn inner dims differ: {k} vs {k2}");
-        let mut out = scratch::take_zeroed(b * m * n);
-        {
-            let lhs = self.data();
-            let rhs = other.data();
-            #[cfg(target_arch = "x86_64")]
-            if gemm::enabled(m * k * n) {
-                par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                    let a = &lhs[bi * k * m..(bi + 1) * k * m];
-                    let bdat = &rhs[bi * k * n..(bi + 1) * k * n];
-                    gemm::matmul_tn(a, bdat, chunk, k, m, n);
-                });
-                return Tensor::from_vec(out, &[b, m, n]);
-            }
-            par::for_each_chunk(&mut out, m * n, |bi, chunk| {
-                let a = &lhs[bi * k * m..(bi + 1) * k * m];
-                let bdat = &rhs[bi * k * n..(bi + 1) * k * n];
-                matmul_tn_into(a, bdat, chunk, k, m, n);
-            });
-        }
-        Tensor::from_vec(out, &[b, m, n])
+        product("bmm_tn", Layout::Tn, 3, self, other)
     }
+}
+
+/// The front door of the `Tensor` products: checks that both operands of
+/// `name` have rank `rank` (2, or 3 with a leading batch dim of the same
+/// size) and agree on the depth in `layout`, then runs [`product_into`]
+/// into a scratch buffer.
+fn product(name: &str, layout: Layout, rank: usize, lhs: &Tensor, rhs: &Tensor) -> Tensor {
+    assert_eq!(
+        lhs.rank(),
+        rank,
+        "{name} lhs must be rank {rank}, got {}",
+        lhs.rank()
+    );
+    assert_eq!(
+        rhs.rank(),
+        rank,
+        "{name} rhs must be rank {rank}, got {}",
+        rhs.rank()
+    );
+    let batches = if rank == 3 {
+        let (b, b2) = (lhs.dims()[0], rhs.dims()[0]);
+        assert_eq!(b, b2, "{name} batch dims differ: {b} vs {b2}");
+        b
+    } else {
+        1
+    };
+    let (a, b) = (&lhs.dims()[rank - 2..], &rhs.dims()[rank - 2..]);
+    let (m, k, k2, n) = match layout {
+        Layout::Nn => (a[0], a[1], b[0], b[1]),
+        Layout::Tn => (a[1], a[0], b[0], b[1]),
+        Layout::Nt => (a[0], a[1], b[1], b[0]),
+    };
+    assert_eq!(k, k2, "{name} inner dims differ: {k} vs {k2}");
+    let mut out = scratch::take_full(batches * m * n);
+    product_into(layout, batches, [m, k, n], lhs.data(), rhs.data(), &mut out);
+    let dims = [batches, m, n];
+    Tensor::from_vec(out, &dims[3 - rank..])
+}
+
+/// `out[bi] = op(A[bi]) · op(B[bi])` for `batches` products of
+/// `(m × n)` over depth `k`, the operands stored as `layout` says and
+/// concatenated over the batch. Every element of `out` is written, so it
+/// needs no initialization; a zero-depth product is all zeros.
+///
+/// The packed-or-scalar decision is taken once, on `m·k·n`. A zero-depth
+/// product has no madds, so it never clears the packed threshold and
+/// takes the scalar arm, which zero-fills (the packed driver would write
+/// nothing).
+pub(crate) fn product_into(
+    layout: Layout,
+    batches: usize,
+    [m, k, n]: [usize; 3],
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let (a_len, b_len) = (m * k, k * n);
+    debug_assert_eq!(a.len(), batches * a_len);
+    debug_assert_eq!(b.len(), batches * b_len);
+    debug_assert_eq!(out.len(), batches * m * n);
+    #[cfg(target_arch = "x86_64")]
+    let packed = gemm::enabled(m * k * n);
+    par::for_each_chunk(out, m * n, |bi, c| {
+        let (a, b) = (&a[bi * a_len..][..a_len], &b[bi * b_len..][..b_len]);
+        #[cfg(target_arch = "x86_64")]
+        if packed {
+            // Every layout's views; the match picks the pair it reads.
+            let (a_rows, a_cols) = (
+                gemm::ARows { data: a, ld: k },
+                gemm::ACols { data: a, ld: m },
+            );
+            let (b_rows, b_cols) = (
+                gemm::BRows { data: b, ld: n },
+                gemm::BColsT { data: b, ld: k },
+            );
+            match layout {
+                Layout::Nn => gemm::gemm(m, n, k, &a_rows, &b_rows, c),
+                Layout::Tn => gemm::gemm(m, n, k, &a_cols, &b_rows, c),
+                Layout::Nt => gemm::gemm(m, n, k, &a_rows, &b_cols, c),
+            }
+            return;
+        }
+        // `A·B` and `A·Bᵀ` are row-parallel: each chunk is one output row.
+        match layout {
+            Layout::Nn => {
+                c.fill(0.0);
+                par::for_each_chunk(c, n, |i, row| {
+                    matmul_into(&a[i * k..(i + 1) * k], b, row, 1, k, n);
+                });
+            }
+            Layout::Tn => {
+                c.fill(0.0);
+                matmul_tn_into(a, b, c, k, m, n);
+            }
+            Layout::Nt => par::for_each_chunk(c, n, |i, row| {
+                let arow = &a[i * k..(i + 1) * k];
+                for (j, o) in row.iter_mut().enumerate() {
+                    *o = dot(arow, &b[j * k..(j + 1) * k]);
+                }
+            }),
+        }
+    });
 }
 
 /// Dot product of two equal-length slices, accumulated in four partial
@@ -308,7 +290,8 @@ pub(crate) fn matmul_tn_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m:
 
 #[cfg(test)]
 mod tests {
-    use crate::{assert_close, Tensor};
+    use super::Layout;
+    use crate::{assert_close, scratch, Tensor};
 
     #[test]
     fn matmul_small_known_values() {
@@ -334,31 +317,86 @@ mod tests {
         assert_eq!(c.data(), &[5.0, 1.0, 4.0, 2.0]);
     }
 
+    /// Every layout of [`super::product_into`], 2-D and batched (1 and 3
+    /// matrices), against a textbook triple loop. The depths 0, 3, 4, 5,
+    /// 8 and 9 straddle the 4-way unroll and stay below the packed
+    /// threshold, so the scalar arm runs on every host; the last shape
+    /// takes the packed arm where AVX2+FMA is present. Every output
+    /// buffer comes out of the scratch pool holding earlier values, so a
+    /// zero-depth product must still read all zeros.
     #[test]
     fn matmul_blocked_matches_naive_reference() {
-        // Inner dims straddling the 4-way unroll boundary (k = 3, 4, 5, 8, 9)
-        // against a textbook triple loop.
-        for &(m, k, n) in &[(3, 3, 2), (2, 4, 5), (4, 5, 3), (3, 8, 4), (5, 9, 7)] {
-            let a = Tensor::from_vec(
-                (0..m * k).map(|x| (x as f32 * 0.37).sin()).collect(),
-                &[m, k],
-            );
-            let b = Tensor::from_vec(
-                (0..k * n).map(|x| (x as f32 * 0.21).cos()).collect(),
-                &[k, n],
-            );
-            let fast = a.matmul(&b);
-            let mut naive = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += a.data()[i * k + p] * b.data()[p * n + j];
+        let shapes = [
+            (3, 0, 2),
+            (3, 3, 2),
+            (2, 4, 5),
+            (4, 5, 3),
+            (3, 8, 4),
+            (5, 9, 7),
+            (7, 40, 19),
+        ];
+        for &(m, k, n) in &shapes {
+            for (name, layout) in [("nn", Layout::Nn), ("tn", Layout::Tn), ("nt", Layout::Nt)] {
+                for batches in [None, Some(1), Some(3)] {
+                    let bs = batches.unwrap_or(1);
+                    let lhs: Vec<f32> = (0..bs * m * k).map(|x| (x as f32 * 0.37).sin()).collect();
+                    let rhs: Vec<f32> = (0..bs * k * n).map(|x| (x as f32 * 0.21).cos()).collect();
+                    // Element (i, p) of A and (p, j) of B in `layout`.
+                    let at = |bi: usize, i: usize, p: usize| match layout {
+                        Layout::Tn => lhs[bi * m * k + p * m + i],
+                        _ => lhs[bi * m * k + i * k + p],
+                    };
+                    let bt = |bi: usize, p: usize, j: usize| match layout {
+                        Layout::Nt => rhs[bi * k * n + j * k + p],
+                        _ => rhs[bi * k * n + p * n + j],
+                    };
+                    let mut naive = vec![0.0f32; bs * m * n];
+                    for bi in 0..bs {
+                        for i in 0..m {
+                            for j in 0..n {
+                                naive[(bi * m + i) * n + j] =
+                                    (0..k).map(|p| at(bi, i, p) * bt(bi, p, j)).sum();
+                            }
+                        }
                     }
-                    naive[i * n + j] = acc;
+                    let (da, db) = match layout {
+                        Layout::Nn => ([m, k], [k, n]),
+                        Layout::Tn => ([k, m], [k, n]),
+                        Layout::Nt => ([m, k], [n, k]),
+                    };
+                    let (a, b) = match batches {
+                        None => (
+                            Tensor::from_vec(lhs.clone(), &da),
+                            Tensor::from_vec(rhs.clone(), &db),
+                        ),
+                        Some(bs) => (
+                            Tensor::from_vec(lhs.clone(), &[bs, da[0], da[1]]),
+                            Tensor::from_vec(rhs.clone(), &[bs, db[0], db[1]]),
+                        ),
+                    };
+                    scratch::recycle(vec![3.5; bs * m * n]);
+                    let fast = match (layout, batches) {
+                        (Layout::Nn, None) => a.matmul(&b),
+                        (Layout::Tn, None) => a.matmul_tn(&b),
+                        (Layout::Nt, None) => a.matmul_nt(&b),
+                        (Layout::Nn, Some(_)) => a.bmm(&b),
+                        (Layout::Tn, Some(_)) => a.bmm_tn(&b),
+                        (Layout::Nt, Some(_)) => a.bmm_nt(&b),
+                    };
+                    assert_eq!(
+                        fast.len(),
+                        naive.len(),
+                        "{name} {batches:?} ({m}, {k}, {n})"
+                    );
+                    assert_close(fast.data(), &naive, 1e-4);
+                    if let (Layout::Nn, None) = (layout, batches) {
+                        scratch::recycle(vec![3.5; m * n]);
+                        let mut out = scratch::take_full(m * n);
+                        crate::infer::matmul_into(&lhs, &rhs, &mut out, m, k, n);
+                        assert_eq!(out, fast.data(), "matmul_into ({m}, {k}, {n})");
+                    }
                 }
             }
-            assert_close(fast.data(), &naive, 1e-5);
         }
     }
 
