@@ -21,8 +21,9 @@
 //! 3. **Publish** — the finished ensemble is checkpointed atomically
 //!    (format v1, temp-file + rename) and handed back through
 //!    [`AdaptationController::poll`]; the caller installs it with
-//!    [`FleetDetector::swap_ensemble`] — an O(1), generation-tagged
-//!    pointer swap that never costs the fleet a tick.
+//!    [`FleetDetector::swap_ensemble`](../cae_serve/struct.FleetDetector.html#method.swap_ensemble)
+//!    (crate `cae-serve`) — an O(1), generation-tagged pointer swap that
+//!    never costs the fleet a tick.
 //!
 //! The background thread is a plain `std::thread`, deliberately **not** a
 //! task on the `cae_tensor::par` worker pool: pool jobs are serialized,
@@ -639,6 +640,10 @@ impl AdaptationController {
         // the guard drops, covering every retry, the reservoir re-score
         // and the checkpoint write.
         let refit_timer = (self.obs.refit_duration_ns.clone(), self.obs.clock.clone());
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the off-thread re-fit is the adaptation tier's sanctioned spawn"
+        )]
         let spawned = std::thread::Builder::new()
             // cae-lint: allow(H1) — once per refit launch (rare by the
             // cooldown), amortized against an entire training run.

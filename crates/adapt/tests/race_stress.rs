@@ -10,6 +10,11 @@
 //! re-fit seed from one LCG stream, so any failure reproduces from the
 //! iteration seed alone.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness spawns reader threads to race the publish"
+)]
+
 use cae_adapt::{AdaptationConfig, AdaptationController};
 use cae_core::{CaeConfig, CaeEnsemble, EnsembleConfig, RefitOptions};
 use cae_data::{Detector, TimeSeries};

@@ -6,8 +6,8 @@
 //!
 //! 1. *Where is this token?* (line number, brace depth)
 //! 2. *Is it inside a `#[cfg(test)]` item?* (several rules exempt tests)
-//! 3. *What comments surround it?* (the `// SAFETY:` rule and the
-//!    `// cae-lint: allow(...)` escape hatch are comment-driven)
+//! 3. *What comments surround it?* (the `// cae-lint: allow(...)`
+//!    escape hatch is comment-driven)
 //!
 //! The scanner handles the lexical constructs that defeat naive regex
 //! linting: line comments, nested block comments, string literals with
@@ -42,7 +42,7 @@ impl Token<'_> {
     }
 }
 
-/// Per-line facts the comment-driven rules need.
+/// Per-line facts the allow directives need.
 #[derive(Debug, Clone, Default)]
 pub struct LineInfo {
     /// Concatenated text of every comment (piece) on this line.
@@ -51,9 +51,6 @@ pub struct LineInfo {
     pub has_code: bool,
     /// The line is comment and/or whitespace only.
     pub pure_comment: bool,
-    /// The line's code is an attribute (trimmed source starts `#[`/`#![`)
-    /// — skipped when walking up from `unsafe` to its `// SAFETY:`.
-    pub attr_only: bool,
 }
 
 /// Lexer output: the token stream plus per-line metadata.
@@ -77,7 +74,6 @@ pub fn lex(src: &str) -> Lexed<'_> {
     for info in &mut lexed.lines {
         info.pure_comment = !info.has_code && !info.comment.is_empty();
     }
-    mark_attr_lines(src, &mut lexed.lines);
     mark_test_regions(&mut lexed.tokens);
     lexed
 }
@@ -351,18 +347,6 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Marks lines whose code is (the start of) an attribute.
-fn mark_attr_lines(src: &str, lines: &mut [LineInfo]) {
-    for (idx, raw) in src.lines().enumerate() {
-        let t = raw.trim_start();
-        if t.starts_with("#[") || t.starts_with("#![") {
-            if let Some(info) = lines.get_mut(idx + 1) {
-                info.attr_only = true;
-            }
-        }
-    }
-}
-
 /// Marks tokens inside `#[cfg(test)]`-gated items.
 ///
 /// Pattern: the token sequence `# [ cfg ( test ) ]` arms a pending flag;
@@ -494,12 +478,11 @@ fn real_unsafe() { unsafe {} }
 
     #[test]
     fn line_metadata_classifies_comments() {
-        let src = "// SAFETY: fine\nlet x = 1; // trailing\n\n#[inline]\nfn f() {}";
+        let src = "// SAFETY: fine\nlet x = 1; // trailing\n\nfn f() {}";
         let lexed = lex(src);
         assert!(lexed.lines[1].pure_comment);
         assert!(lexed.lines[1].comment.contains("SAFETY:"));
         assert!(lexed.lines[2].has_code && !lexed.lines[2].pure_comment);
         assert!(lexed.lines[2].comment.contains("trailing"));
-        assert!(lexed.lines[4].attr_only);
     }
 }

@@ -11,6 +11,14 @@
 //! stable-toolchain-only: no dylint, no custom clippy lints, no
 //! syn/proc-macro stack — just `std`.
 //!
+//! It keeps only what clippy cannot check: U2 (intrinsics confined to
+//! the kernel modules), U3 (no `transmute`, `static mut` or
+//! `mem::uninitialized`), C2 (no locks in pool jobs) and the flow rules
+//! A1, W1, F1, H1, E1 and R1. `// SAFETY:` notes and thread-spawn sites
+//! are checked by clippy's `undocumented_unsafe_blocks`,
+//! `missing_safety_doc` and `disallowed_methods`, configured in the root
+//! `Cargo.toml` and `clippy.toml`.
+//!
 //! Run it as the CI gate does:
 //!
 //! ```text
@@ -48,7 +56,7 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", ".git", "fixtures"];
 
 /// Collects every workspace `.rs` file under `root`, sorted, skipping
-/// [`SKIP_DIRS`].
+/// build output, VCS metadata, hidden directories and the lint fixtures.
 pub fn workspace_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -124,7 +132,7 @@ pub fn lint_file(root: &Path, file: &Path) -> std::io::Result<Vec<Finding>> {
 /// {
 ///   "files_scanned": 63,
 ///   "findings": [
-///     {"rule": "U1", "path": "crates/x/src/lib.rs", "line": 7, "message": "…"}
+///     {"rule": "E1", "path": "crates/x/src/lib.rs", "line": 7, "message": "…"}
 ///   ]
 /// }
 /// ```
@@ -181,7 +189,7 @@ mod tests {
     #[test]
     fn json_escapes_and_shapes() {
         let findings = vec![Finding {
-            rule: "U1",
+            rule: "E1",
             path: "a \"b\"\\c.rs".to_string(),
             line: 3,
             message: "line1\nline2".to_string(),

@@ -27,11 +27,11 @@ fn usage() -> &'static str {
      --workspace   lint every .rs file of the enclosing cargo workspace\n\
      --json        machine-readable output (stable shape, see lib docs)\n\
      --rule ID     report only this rule (repeatable); exit 2 on an\n\
-                   unknown ID\n\
-     --list-rules  print the rule catalog and exit (alias: --rules)\n\
+     \x20             unknown ID\n\
+     --list-rules  print the rule catalog and exit\n\
      --graph-json  print the workspace symbol graph as JSON and exit 0\n\
      --root DIR    anchor workspace-relative paths at DIR (default: the\n\
-                   nearest ancestor Cargo.toml with a [workspace] table)\n\
+     \x20             nearest ancestor Cargo.toml with a [workspace] table)\n\
      FILE…         lint specific files instead of the whole workspace"
 }
 
@@ -50,7 +50,7 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--workspace" => opts.workspace = true,
             "--json" => opts.json = true,
-            "--list-rules" | "--rules" => opts.list_rules = true,
+            "--list-rules" => opts.list_rules = true,
             "--graph-json" => opts.graph_json = true,
             "--rule" => {
                 let id = args.next().ok_or("--rule requires a rule ID")?;
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
     };
 
     // Pass 1 over every file, then pass 2 once over the union so the
-    // flow rules (A1, F1, H1, E1, R1) see the whole symbol graph.
+    // flow rules (A1, W1, F1, H1, E1, R1) see the whole symbol graph.
     let analyses = match analyze_files(&root, &files) {
         Ok(a) => a,
         Err(e) => {

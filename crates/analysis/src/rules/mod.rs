@@ -10,8 +10,7 @@
 //!
 //! 1. **Per file** ([`analyze_source`]): lex, parse fn items and their
 //!    sites ([`crate::parser`]), collect the allow directives, and run
-//!    the token rules (U1, U2, U3, C1, C2) that need no cross-file
-//!    context.
+//!    the token rules (U2, U3, C2) that need no cross-file context.
 //! 2. **Per workspace** ([`finish`]): build the symbol graph
 //!    ([`crate::graph`]) over every analyzed file and run the flow rules
 //!    (A1, W1, F1, H1, E1, R1) that reason about reachability, atomic
@@ -35,8 +34,8 @@ use std::collections::HashMap;
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule ID (`U1`, `U2`, `U3`, `C1`, `C2`, `A1`, `W1`, `F1`,
-    /// `H1`, `E1`, `R1`).
+    /// Stable rule ID (`U2`, `U3`, `C2`, `A1`, `W1`, `F1`, `H1`, `E1`,
+    /// `R1`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -56,20 +55,12 @@ pub struct RuleInfo {
 /// Every rule the engine enforces, in report order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "U1",
-        summary: "every `unsafe` block/fn/impl carries a `// SAFETY:` comment (or `# Safety` doc section)",
-    },
-    RuleInfo {
         id: "U2",
         summary: "core::arch / _mm* intrinsics only in cae-tensor's simd.rs and gemm.rs",
     },
     RuleInfo {
         id: "U3",
         summary: "no transmute, static mut, or mem::uninitialized anywhere",
-    },
-    RuleInfo {
-        id: "C1",
-        summary: "thread spawns only in the sanctioned modules (tensor::par, cae-adapt)",
     },
     RuleInfo {
         id: "C2",
@@ -114,7 +105,7 @@ pub struct FileAnalysis {
     pub orphans: Sites,
     /// Per-line allowed rule IDs.
     allows: Vec<Vec<String>>,
-    /// Token-rule findings (U1, U2, U3, C1, C2), pre-allow-filtering.
+    /// Token-rule findings (U2, U3, C2), pre-allow-filtering.
     token_findings: Vec<Finding>,
 }
 
@@ -234,7 +225,7 @@ fn allows_rule(allowed: &[String], rule: &str) -> bool {
 // ---------------------------------------------------------------------
 
 /// Test-ish file locations: integration tests, examples, benches, bins.
-/// Rules about production panics/spawns don't apply there.
+/// Rules about production panics and locks don't apply there.
 pub(crate) fn is_test_path(path: &str) -> bool {
     let p = path.replace('\\', "/");
     p.contains("/tests/")
@@ -247,10 +238,6 @@ pub(crate) fn is_test_path(path: &str) -> bool {
 
 pub(crate) fn is_intrinsics_sanctioned(path: &str) -> bool {
     path == "crates/tensor/src/simd.rs" || path == "crates/tensor/src/gemm.rs"
-}
-
-pub(crate) fn is_spawn_sanctioned(path: &str) -> bool {
-    path == "crates/tensor/src/par.rs" || path.starts_with("crates/adapt/src/")
 }
 
 /// Serving-path library code: panics here take down a serving loop or
@@ -314,32 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn u1_flags_bare_unsafe_and_accepts_safety() {
-        let bad = "fn f() {\n    unsafe { work() }\n}\n";
-        assert_eq!(rules_of("crates/x/src/lib.rs", bad), vec![("U1", 2)]);
-
-        let good = "fn f() {\n    // SAFETY: work() is sound because …\n    unsafe { work() }\n}\n";
-        assert!(rules_of("crates/x/src/lib.rs", good).is_empty());
-
-        let with_attr = "// SAFETY: caller detected avx2\n#[target_feature(enable = \"avx2\")]\nunsafe fn g() {}\n";
-        assert!(rules_of("crates/x/src/lib.rs", with_attr).is_empty());
-
-        let blank_line_breaks = "// SAFETY: stale\n\nfn f() { unsafe { w() } }\n";
-        assert_eq!(
-            rules_of("crates/x/src/lib.rs", blank_line_breaks),
-            vec![("U1", 3)]
-        );
-
-        // An `unsafe fn(...)` fn-pointer *type* is not an operation.
-        let fn_ptr_type = "struct S {\n    hook: unsafe fn(*const (), usize),\n}\n";
-        assert!(rules_of("crates/x/src/lib.rs", fn_ptr_type).is_empty());
-
-        // A `# Safety` doc section satisfies U1 for unsafe fn decls.
-        let doc_section = "/// Does things.\n///\n/// # Safety\n///\n/// Caller must check X.\nunsafe fn g() {}\n";
-        assert!(rules_of("crates/x/src/lib.rs", doc_section).is_empty());
-    }
-
-    #[test]
     fn u2_scopes_to_kernel_modules() {
         let src = "use core::arch::x86_64::*;\nfn f() { let v = _mm256_setzero_ps(); }\n";
         let found = rules_of("crates/nn/src/linear.rs", src);
@@ -355,21 +316,6 @@ mod tests {
         let found = rules_of("crates/x/src/lib.rs", src);
         assert!(found.contains(&("U3", 1)));
         assert!(found.contains(&("U3", 2)));
-    }
-
-    #[test]
-    fn c1_exempts_sanctioned_modules_and_tests() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert_eq!(
-            rules_of("crates/core/src/ensemble.rs", src),
-            vec![("C1", 1)]
-        );
-        assert!(rules_of("crates/tensor/src/par.rs", src).is_empty());
-        assert!(rules_of("crates/adapt/src/lib.rs", src).is_empty());
-        assert!(rules_of("crates/serve/tests/race_stress.rs", src).is_empty());
-
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(rules_of("crates/core/src/ensemble.rs", in_test).is_empty());
     }
 
     #[test]
@@ -499,7 +445,6 @@ mod tests {
         let spawned = "pub fn start(&self) { std::thread::spawn(move || worker()); }\n\
                        fn worker() { DONE_FLAG.store(true, Ordering::Relaxed); }\n\
                        pub fn check() -> bool { DONE_FLAG.load(Ordering::Acquire) }\n";
-        // (spawn-sanctioned path, so C1 stays quiet and A1 is isolated)
         assert_eq!(
             rules_of("crates/adapt/src/lib.rs", spawned),
             vec![("A1", 2)]
@@ -609,7 +554,7 @@ mod tests {
         assert!(rules_of("crates/serve/src/lib.rs", above).is_empty());
 
         // The wrong rule ID does not suppress.
-        let wrong = "// cae-lint: allow(U1)\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let wrong = "// cae-lint: allow(W1)\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         assert_eq!(rules_of("crates/serve/src/lib.rs", wrong), vec![("E1", 2)]);
     }
 

@@ -1,78 +1,20 @@
-//! Pass-1 token rules: U1, U2, U3, C1, C2.
+//! Pass-1 token rules: U2, U3, C2.
 //!
-//! These need no cross-file context — they fire on token patterns with
-//! at most comment/attribute lookaround — so they run per file during
-//! [`super::analyze_source`]. The flow rules live in [`super::flow`].
+//! These need no cross-file context — they fire on token patterns alone
+//! — so they run per file during [`super::analyze_source`]. The flow
+//! rules live in [`super::flow`]. The `// SAFETY:` and thread-spawn
+//! checks are clippy lints (`undocumented_unsafe_blocks`,
+//! `missing_safety_doc`, `disallowed_methods`; see the root
+//! `clippy.toml`).
 
-use super::{is_intrinsics_sanctioned, is_spawn_sanctioned, is_test_path, Finding};
+use super::{is_intrinsics_sanctioned, is_test_path, Finding};
 use crate::lexer::Lexed;
 
 /// Runs every token rule over one lexed file.
 pub fn run(lexed: &Lexed<'_>, scope_path: &str, path: &str, findings: &mut Vec<Finding>) {
-    rule_u1_safety_comments(lexed, path, findings);
     rule_u2_intrinsics_confined(lexed, scope_path, path, findings);
     rule_u3_forbidden_constructs(lexed, path, findings);
-    rule_c1_thread_spawn(lexed, scope_path, path, findings);
     rule_c2_locks_in_pool_jobs(lexed, scope_path, path, findings);
-}
-
-/// U1: every `unsafe` token must carry a `// SAFETY:` comment — on the
-/// same line, on the code line directly above (trailing comment), or as
-/// the comment block immediately above (attribute lines in between are
-/// skipped, blank lines are not).
-fn rule_u1_safety_comments(lexed: &Lexed<'_>, path: &str, findings: &mut Vec<Finding>) {
-    let mut last_flagged = 0usize;
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if t.text != "unsafe" || t.line == last_flagged {
-            continue;
-        }
-        // `unsafe fn(...)` — a fn-pointer *type*, not an unsafe
-        // operation: the contract lives at the call sites.
-        if lexed.tokens.get(i + 1).is_some_and(|n| n.text == "fn")
-            && lexed.tokens.get(i + 2).is_some_and(|n| n.text == "(")
-        {
-            continue;
-        }
-        if has_safety_comment(lexed, t.line) {
-            continue;
-        }
-        last_flagged = t.line;
-        findings.push(Finding {
-            rule: "U1",
-            path: path.to_string(),
-            line: t.line,
-            message: "`unsafe` without an immediately preceding `// SAFETY:` comment stating the invariant relied on".to_string(),
-        });
-    }
-}
-
-/// `// SAFETY: …` for blocks/impls, or the conventional `# Safety` doc
-/// section for `unsafe fn` declarations.
-fn is_safety_text(comment: &str) -> bool {
-    comment.contains("SAFETY:") || comment.contains("# Safety")
-}
-
-fn has_safety_comment(lexed: &Lexed<'_>, line: usize) -> bool {
-    if is_safety_text(&lexed.lines[line].comment) {
-        return true;
-    }
-    // Walk up: skip attribute lines, then require a contiguous comment
-    // block whose text mentions the safety contract.
-    let mut l = line.saturating_sub(1);
-    while l >= 1 && lexed.lines[l].attr_only {
-        l -= 1;
-    }
-    if l >= 1 && !lexed.lines[l].pure_comment {
-        // Code line directly above with a trailing SAFETY comment.
-        return is_safety_text(&lexed.lines[l].comment);
-    }
-    while l >= 1 && lexed.lines[l].pure_comment {
-        if is_safety_text(&lexed.lines[l].comment) {
-            return true;
-        }
-        l -= 1;
-    }
-    false
 }
 
 /// U2: SIMD intrinsics and `core::arch`/`std::arch` imports are confined
@@ -108,7 +50,8 @@ fn rule_u2_intrinsics_confined(
     }
 }
 
-/// U3: constructs that are banned workspace-wide, tests included.
+/// U3: constructs that are banned workspace-wide, tests included. No
+/// clippy or rustc lint flags a `static mut` item, so this stays here.
 fn rule_u3_forbidden_constructs(lexed: &Lexed<'_>, path: &str, findings: &mut Vec<Finding>) {
     let toks = &lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
@@ -131,36 +74,6 @@ fn rule_u3_forbidden_constructs(lexed: &Lexed<'_>, path: &str, findings: &mut Ve
     }
 }
 
-/// C1: thread spawns (`thread::spawn`, `Builder::spawn`) only in the
-/// sanctioned modules. Test code may spawn freely.
-fn rule_c1_thread_spawn(
-    lexed: &Lexed<'_>,
-    scope_path: &str,
-    path: &str,
-    findings: &mut Vec<Finding>,
-) {
-    if is_spawn_sanctioned(scope_path) || is_test_path(scope_path) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.text != "spawn" || t.in_test {
-            continue;
-        }
-        // A call: `spawn` preceded by `.` or `::` and followed by `(`.
-        let called = toks.get(i + 1).is_some_and(|n| n.text == "(");
-        let reached = i >= 1 && matches!(toks[i - 1].text, "." | ":");
-        if called && reached {
-            findings.push(Finding {
-                rule: "C1",
-                path: path.to_string(),
-                line: t.line,
-                message: "thread spawn outside the sanctioned modules (cae_tensor::par, cae-adapt); route parallelism through the worker pool".to_string(),
-            });
-        }
-    }
-}
-
 /// C2: no lock acquisition inside par-pool job closures. The pool runs
 /// one job at a time and the submitter participates; a lock shared with
 /// the submitting side inverts the pool's ordering assumptions and can
@@ -171,8 +84,8 @@ fn rule_c2_locks_in_pool_jobs(
     path: &str,
     findings: &mut Vec<Finding>,
 ) {
-    // The pool implementation itself synchronizes with its own mutex —
-    // outside job closures — and is reviewed under U1/U3 instead.
+    // The pool implementation itself synchronizes with its own mutex,
+    // outside job closures.
     if scope_path == "crates/tensor/src/par.rs" || is_test_path(scope_path) {
         return;
     }

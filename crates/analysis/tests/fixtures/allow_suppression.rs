@@ -13,6 +13,6 @@ pub fn preceding(xs: &[f32]) -> f32 {
 }
 
 pub fn mismatched(xs: &[f32]) -> f32 {
-    // cae-lint: allow(U1) — wrong rule: E1 still fires below
+    // cae-lint: allow(W1) — wrong rule: E1 still fires below
     *xs.get(1).unwrap()
 }

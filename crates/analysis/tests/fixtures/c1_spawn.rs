@@ -1,5 +1,5 @@
-// cae-lint: path=crates/metrics/src/lib.rs
-//! C1 fixture: a thread spawn outside the sanctioned modules.
+//! Clippy fixture for the retired cae-lint rule C1: a thread spawn outside
+//! the sanctioned modules; `disallowed_methods` fires at line 5.
 
 pub fn fan_out() -> u32 {
     let worker = std::thread::spawn(|| 1 + 1);

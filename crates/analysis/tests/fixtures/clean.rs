@@ -9,7 +9,7 @@ pub fn checked_div(a: u32, b: u32) -> Result<u32, String> {
     Ok(a / b)
 }
 
-/// A SAFETY-commented unsafe block satisfies U1.
+/// A SAFETY-commented unsafe block satisfies `undocumented_unsafe_blocks`.
 pub fn first_byte(bytes: &[u8]) -> u8 {
     assert!(!bytes.is_empty());
     // SAFETY: the assert above guarantees at least one element.

@@ -6,6 +6,10 @@
 //! `// cae-lint: path=…` directive on its first line. The tests pin the
 //! exact rule IDs and line numbers, the JSON document shape, the allow
 //! suppression semantics, and the binary's exit codes.
+//!
+//! `u1_missing_safety.rs`, `c1_spawn.rs` and `clean.rs` are also the
+//! fixtures of CI's clippy-driver step, which pins the clippy lints that
+//! replaced the retired rules U1 and C1 to fire at line 5.
 
 use cae_analysis::{find_workspace_root, findings_to_json, lint_file};
 use std::path::{Path, PathBuf};
@@ -37,10 +41,8 @@ fn clean_fixture_has_no_findings() {
 
 #[test]
 fn each_rule_fires_at_its_seeded_line() {
-    assert_eq!(lint("u1_missing_safety.rs"), [("U1", 5)]);
     assert_eq!(lint("u2_intrinsics_outside.rs"), [("U2", 5)]);
     assert_eq!(lint("u3_forbidden.rs"), [("U3", 4), ("U3", 8)]);
-    assert_eq!(lint("c1_spawn.rs"), [("C1", 5)]);
     assert_eq!(lint("c2_lock_in_job.rs"), [("C2", 6)]);
     assert_eq!(lint("e1_panics.rs"), [("E1", 5), ("E1", 7)]);
     assert_eq!(lint("r1_recovery_unwrap.rs"), [("R1", 7)]);
@@ -63,7 +65,7 @@ fn h1_obs_clock_seam_is_sanctioned() {
 #[test]
 fn allow_directive_suppresses_trailing_and_preceding_but_not_mismatched() {
     // Lines 6 and 12 are allowed (trailing / preceding comment chain);
-    // line 17's `allow(U1)` names the wrong rule, so E1 still fires.
+    // line 17's `allow(W1)` names the wrong rule, so E1 still fires.
     assert_eq!(lint("allow_suppression.rs"), [("E1", 17)]);
 }
 
@@ -138,20 +140,21 @@ fn binary_exits_two_on_usage_errors() {
 
 #[test]
 fn binary_rules_catalog_lists_every_rule() {
-    // `--rules` is kept as an alias of `--list-rules`.
-    for flag in ["--list-rules", "--rules"] {
-        let out = run_lint(&[flag]);
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        let stdout = String::from_utf8(out.stdout).expect("utf8");
-        for id in [
-            "U1", "U2", "U3", "C1", "C2", "A1", "W1", "F1", "H1", "E1", "R1",
-        ] {
-            assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
-        }
-        assert!(
-            !stdout.contains("D1"),
-            "D1 was removed (absorbed into H1):\n{stdout}"
-        );
+    let out = run_lint(&["--list-rules"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let ids: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        ids,
+        ["U2", "U3", "C2", "A1", "W1", "F1", "H1", "E1", "R1"],
+        "{stdout}"
+    );
+    // D1 was absorbed into H1; U1 and C1 are clippy lints now.
+    for gone in ["D1", "U1", "C1"] {
+        assert!(!stdout.contains(gone), "{gone} was removed:\n{stdout}");
     }
 }
 
@@ -168,7 +171,7 @@ fn binary_rule_filter_narrows_and_validates() {
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("2 finding(s)"), "{stdout}");
 
-    let out = run_lint(&["--rule", "U1", path]);
+    let out = run_lint(&["--rule", "W1", path]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.contains("0 finding(s)"), "{stdout}");
@@ -206,4 +209,59 @@ fn workspace_is_lint_clean() {
     let out = run_lint(&["--workspace"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "findings:\n{stdout}");
+}
+
+/// The lines of one `[section]` of a TOML file, up to the next header.
+fn toml_section<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|l| l.trim() != header)
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .map(str::trim)
+        .collect()
+}
+
+/// The `// SAFETY:` and thread-spawn checks are clippy lints, which
+/// `cargo test` does not run: this pins the configuration that enables
+/// them, so deleting it cannot go unnoticed.
+#[test]
+fn clippy_config_enables_the_safety_and_spawn_lints() {
+    let root = workspace_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml");
+    let lints = toml_section(&manifest, "[workspace.lints.clippy]");
+    for lint in [
+        "undocumented_unsafe_blocks",
+        "missing_safety_doc",
+        "disallowed_methods",
+    ] {
+        assert!(
+            lints
+                .iter()
+                .any(|l| *l == format!("{lint} = \"warn\"") || *l == format!("{lint} = \"deny\"")),
+            "[workspace.lints.clippy] must enable {lint}"
+        );
+    }
+
+    let clippy = std::fs::read_to_string(root.join("clippy.toml")).expect("root clippy.toml");
+    let settings: Vec<&str> = clippy
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.starts_with('#'))
+        .collect();
+    assert!(
+        settings.contains(&"check-private-items = true"),
+        "clippy.toml must set check-private-items"
+    );
+    for path in [
+        "std::thread::spawn",
+        "std::thread::Builder::spawn",
+        "std::thread::Builder::spawn_scoped",
+        "std::thread::Scope::spawn",
+    ] {
+        let entry = format!("path = \"{path}\"");
+        assert!(
+            settings.iter().any(|l| l.contains(&entry)),
+            "clippy.toml must ban {path}"
+        );
+    }
 }

@@ -19,7 +19,7 @@
 //! | OMNIANOMALY | stochastic recurrent AE | [`OmniAnomaly`] (without normalizing flows; see the substitution note in `omni.rs`) |
 //!
 //! The eleventh comparison method, the single CAE, is
-//! [`cae_core::CaeEnsemble`] with `num_models(1)`.
+//! `cae_core::CaeEnsemble` with `num_models(1)`.
 
 mod ae_ensemble;
 mod isolation_forest;

@@ -89,7 +89,7 @@ fn entry(op: &'static str, shape: String, iters: u64, best: u128) -> Entry {
     }
 }
 
-/// Like [`bench`], but every timed call of `f` follows `gap` of idle
+/// Like [`bench()`], but every timed call of `f` follows `gap` of idle
 /// sleep, which is not timed: the latency of work that arrives at an idle
 /// pool.
 fn bench_after_gap(

@@ -2,7 +2,7 @@
 //!
 //! The paper's online setting (Section 4.2.7 / Table 8) assumes training
 //! happens offline and the online phase only runs the already-learned
-//! ensemble — which requires moving a trained [`CaeEnsemble`] between
+//! ensemble — which requires moving a trained [`CaeEnsemble`](crate::CaeEnsemble) between
 //! processes. This module defines **format v1**, a self-contained binary
 //! layout that round-trips an ensemble bit-exactly (all floats are stored
 //! as their exact IEEE-754 little-endian bytes):

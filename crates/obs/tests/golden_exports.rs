@@ -6,6 +6,11 @@
 //! float formatting, bucket layout — fails against the committed files
 //! under `tests/golden/`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the histogram accounting test records from several threads"
+)]
+
 use cae_obs::{MetricsRegistry, ObsClock};
 
 /// A registry with one metric of each kind, exercised through the same

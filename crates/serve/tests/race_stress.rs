@@ -13,6 +13,11 @@
 //! Every interleaving is derived from an LCG stream, so a failure
 //! reproduces from its seed alone.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the harness spawns reader threads to race the swap"
+)]
+
 use cae_core::{CaeConfig, CaeEnsemble, EnsembleConfig};
 use cae_data::{Detector, TimeSeries};
 use cae_serve::FleetDetector;

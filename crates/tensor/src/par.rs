@@ -357,6 +357,10 @@ fn ensure_workers(pool: &'static Pool, wanted: usize) {
     let mut st = pool.lock();
     while st.workers < wanted {
         let idx = st.workers;
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the worker pool is the workspace's sanctioned thread spawner"
+        )]
         let spawn = std::thread::Builder::new()
             .name(format!("cae-par-{idx}"))
             .spawn(move || worker_loop(pool, idx));

@@ -193,6 +193,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a fresh thread gives the test a thread-local pool of its own"
+    )]
     fn take_full_reuses_without_clearing() {
         // Dedicated thread: the assertions must not race sibling tests
         // sharing the harness thread's pool.
@@ -240,6 +244,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a fresh thread gives the test a thread-local pool of its own"
+    )]
     fn retained_bytes_stay_under_budget() {
         // Run on a dedicated thread: the budget assertion must not see
         // buffers recycled by sibling tests on the harness thread.

@@ -1,7 +1,7 @@
 //! Runtime ISA dispatch and vectorized elementwise kernels.
 //!
 //! Every hot loop in this crate funnels through this module: the packed
-//! GEMM core ([`crate::gemm`]) asks it which instruction set to use, and
+//! GEMM core (`gemm.rs`) asks it which instruction set to use, and
 //! the bandwidth-bound elementwise kernels (activations, their gradients,
 //! reductions, softmax passes) call the dispatched helpers below.
 //!
