@@ -59,8 +59,9 @@ fn main() {
     detector.fit(&train);
 
     let dir = std::env::temp_dir();
-    let primary = dir.join("cae_fault_demo_primary.caee");
-    let last_good = dir.join("cae_fault_demo_last_good.caee");
+    let pid = std::process::id();
+    let primary = dir.join(format!("cae_fault_demo_primary_{pid}.caee"));
+    let last_good = dir.join(format!("cae_fault_demo_last_good_{pid}.caee"));
     detector.save(&primary).expect("primary checkpoint");
     detector.save(&last_good).expect("last-good checkpoint");
 
@@ -72,15 +73,17 @@ fn main() {
     let recovered =
         CaeEnsemble::load_with_fallback(&primary, &last_good).expect("fallback recovers");
     let ensemble = recovered.value;
-    match recovered.primary_error {
-        Some(err) => println!("primary checkpoint torn ({err}); recovered from last-good copy"),
-        None => println!("primary checkpoint loaded clean"),
-    }
+    let err = recovered.primary_error.expect("primary error retained");
+    println!("primary checkpoint torn ({err}); recovered from last-good copy");
+    let _ = std::fs::remove_file(&primary);
+    let _ = std::fs::remove_file(&last_good);
 
     // --- Online: serve a fleet through an input-fault storm -----------
     let health = HealthConfig::default().flatline_after(8);
     let w = ensemble.model_config().window;
     let recovery = health.recovery_pushes(w);
+    // From this tick on, stream 0 must score like a never-faulty stream.
+    let converge_at = FAULT_TO + recovery - 1;
     let mut fleet = FleetDetector::with_health(ensemble, health);
     let ids: Vec<StreamId> = (0..STREAMS).map(|_| fleet.add_stream()).collect();
 
@@ -113,7 +116,7 @@ fn main() {
 
     let ticks = FAULT_TO + recovery + 20;
     let mut out = Vec::new();
-    let mut last_scores = [f32::NAN; STREAMS];
+    let mut stream0_bits = Vec::new(); // stream 0's scores from `converge_at` on
     for t in 0..ticks {
         for (k, id) in ids.iter().enumerate() {
             let obs = [wave(t, k as f32 * 0.4)];
@@ -141,12 +144,15 @@ fn main() {
         fleet.tick(&mut out);
         for &(id, score) in &out {
             assert!(score.is_finite(), "a non-finite score escaped");
-            let k = ids.iter().position(|i| *i == id).expect("known session");
-            last_scores[k] = score;
+            if id == ids[0] && t >= converge_at {
+                stream0_bits.push(score.to_bits());
+            }
         }
         if t == FAULT_TO - 1 {
             for (k, id) in ids.iter().enumerate().take(3) {
-                println!("t={t}: stream {k} is {:?}", fleet.stream_health(*id));
+                let state = fleet.stream_health(*id);
+                println!("t={t}: stream {k} is {state:?}");
+                assert_eq!(state, StreamHealth::Quarantined);
             }
         }
     }
@@ -155,34 +161,33 @@ fn main() {
     // Streams 0 and 3 follow the same signal family with different
     // phases; after recovery, stream 0's scoring path is byte-for-byte
     // the healthy path again. Re-run stream 0's phase through a fresh
-    // fleet that never saw a fault and compare bit-exactly.
+    // fleet that never saw a fault and compare every tick bit-exactly.
     let mut reference = FleetDetector::with_health(fleet.ensemble().clone(), health);
     let ref_id = reference.add_stream();
-    let mut ref_score = f32::NAN;
+    let mut ref_bits = Vec::new();
     for t in 0..ticks {
         reference
             .push(ref_id, &[wave(t, 0.0)])
             .expect("live stream");
         reference.tick(&mut out);
-        if let Some(&(_, s)) = out.first() {
-            ref_score = s;
+        if t >= converge_at {
+            ref_bits.extend(out.iter().map(|&(_, s)| s.to_bits()));
         }
     }
     assert_eq!(
-        last_scores[0].to_bits(),
-        ref_score.to_bits(),
+        stream0_bits, ref_bits,
         "recovered stream must score bit-exactly like a never-faulty one"
     );
     println!(
         "stream 0 recovered: final score {:.6} matches the clean path bit-exactly",
-        last_scores[0]
+        f32::from_bits(*stream0_bits.last().expect("stream 0 scored"))
     );
 
     // --- A checkpoint failure mid-re-fit still publishes --------------
     // Every checkpoint write now fails; the re-fit retries with capped
     // backoff, then falls back to an in-memory publish — serving never
     // strands on the stale generation.
-    let ckpt = dir.join("cae_fault_demo_adapted.caee");
+    let ckpt = dir.join(format!("cae_fault_demo_adapted_{pid}.caee"));
     let mut adapt = AdaptationController::new(
         fleet.ensemble(),
         &[0.01; 64], // tiny drift band: the probe scores below trip it
@@ -226,16 +231,20 @@ fn main() {
         report.backoff_ms,
         report.checkpoint_fallbacks
     );
-    assert!(
-        report.quarantine_events >= 2,
-        "storm + flat-line quarantine"
+    assert_eq!(
+        (report.quarantine_events, report.recoveries),
+        (3, 3),
+        "each faulty stream is quarantined once and recovers once"
     );
+    assert!(report.faulty_observations >= (FAULT_TO - FAULT_FROM) as u64);
     assert_eq!(
         report.streams_healthy, STREAMS as u64,
         "every stream must end healthy"
     );
-
-    let _ = std::fs::remove_file(&primary);
-    let _ = std::fs::remove_file(&last_good);
     println!("fleet survived the storm; all {STREAMS} streams healthy");
+}
+
+#[test]
+fn fault_tolerant_fleet_pipeline_quarantines_and_recovers() {
+    main();
 }

@@ -27,28 +27,46 @@ use std::time::Instant;
 /// bit-identical checkpoints and scores.
 const SEED: u64 = 11;
 
-/// 16 distinct signal phases shared by 64 streams each: 1024 sessions.
-const PHASES: usize = 16;
+/// Streams that share one signal phase: `main`'s 16 phases make 1024
+/// sessions.
 const STREAMS_PER_PHASE: usize = 64;
 
 fn wave(t: usize, phase: f32) -> f32 {
     (t as f32 * 0.25 + phase).sin() + 0.3 * (t as f32 * 0.06 + phase).sin()
 }
 
+/// What `main` and the test run at.
+struct Params {
+    train_len: usize,
+    model: CaeConfig,
+    ens: EnsembleConfig,
+    /// Distinct signal phases; each is served to 64 streams.
+    phases: usize,
+}
+
 fn main() {
-    // --- Offline: train once and checkpoint ---------------------------
-    let train = TimeSeries::univariate((0..1200).map(|t| wave(t, 0.0)).collect());
-    let mut detector = CaeEnsemble::new(
-        CaeConfig::new(1).embed_dim(16).window(16).layers(2),
-        EnsembleConfig::new()
+    run(Params {
+        train_len: 1200,
+        model: CaeConfig::new(1).embed_dim(16).window(16).layers(2),
+        ens: EnsembleConfig::new()
             .num_models(3)
             .epochs_per_model(4)
             .seed(SEED),
-    );
+        phases: 16,
+    });
+}
+
+fn run(p: Params) {
+    // --- Offline: train once and checkpoint ---------------------------
+    let train = TimeSeries::univariate((0..p.train_len).map(|t| wave(t, 0.0)).collect());
+    let mut detector = CaeEnsemble::new(p.model, p.ens);
     println!("offline training…");
     detector.fit(&train);
 
-    let path = std::env::temp_dir().join("cae_fleet_serving_demo.caee");
+    let path = std::env::temp_dir().join(format!(
+        "cae_fleet_serving_demo_{}.caee",
+        std::process::id()
+    ));
     detector.save(&path).expect("checkpoint write");
     let bytes = std::fs::metadata(&path).expect("checkpoint exists").len();
     println!(
@@ -74,14 +92,14 @@ fn main() {
     // 64 scored ticks per stream; n_win = 64 aligns fleet chunks with the
     // batch scorer's inference chunks, making the comparison bit-exact.
     let len = (w - 1) + 64;
-    let phase_of = |k: usize| (k % PHASES) as f32 * 0.37;
-    let phase_series: Vec<TimeSeries> = (0..PHASES)
+    let phase_of = |k: usize| (k % p.phases) as f32 * 0.37;
+    let phase_series: Vec<TimeSeries> = (0..p.phases)
         .map(|p| TimeSeries::univariate((0..len).map(|t| wave(t, phase_of(p))).collect()))
         .collect();
 
     let ensemble = std::sync::Arc::new(ensemble);
     let mut fleet = FleetDetector::new(ensemble.clone());
-    let ids: Vec<StreamId> = (0..PHASES * STREAMS_PER_PHASE)
+    let ids: Vec<StreamId> = (0..p.phases * STREAMS_PER_PHASE)
         .map(|_| fleet.add_stream())
         .collect();
     println!("serving {} concurrent streams…", fleet.num_streams());
@@ -95,7 +113,7 @@ fn main() {
     for t in 0..len {
         for (k, &id) in ids.iter().enumerate() {
             fleet
-                .push(id, phase_series[k % PHASES].observation(t))
+                .push(id, phase_series[k % p.phases].observation(t))
                 .expect("live stream");
         }
         fleet.tick(&mut out);
@@ -111,23 +129,32 @@ fn main() {
         elapsed.as_secs_f64() * 1e6 / scored as f64
     );
 
-    // --- Verify: fleet output == offline batch scorer ------------------
-    for (p, series) in phase_series.iter().enumerate() {
-        let batch_scores = ensemble.score(series);
-        for (k, scores) in per_stream.iter().enumerate() {
-            if k % PHASES != p {
-                continue;
-            }
-            assert_eq!(scores.len(), 64, "stream {k} tick count");
-            assert_eq!(
-                scores,
-                &batch_scores[w - 1..],
-                "stream {k} diverged from the batch scorer"
-            );
-        }
+    // --- Verify: fleet output == the trained ensemble's batch scorer ---
+    let batch_scores: Vec<Vec<f32>> = phase_series.iter().map(|s| detector.score(s)).collect();
+    for (k, scores) in per_stream.iter().enumerate() {
+        assert_eq!(
+            scores,
+            &batch_scores[k % p.phases][w - 1..],
+            "stream {k} diverged from the batch scorer"
+        );
     }
     println!(
         "verified: all {} streams produced scores identical to the batch scorer ✓",
         ids.len()
     );
+}
+
+#[test]
+fn fleet_serving_pipeline_runs_on_a_tiny_fleet() {
+    run(Params {
+        train_len: 260,
+        model: CaeConfig::new(1).embed_dim(8).window(8).layers(1),
+        ens: EnsembleConfig::new()
+            .num_models(2)
+            .epochs_per_model(2)
+            .batch_size(16)
+            .train_stride(2)
+            .seed(13),
+        phases: 4,
+    });
 }

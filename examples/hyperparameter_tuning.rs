@@ -14,6 +14,15 @@ use cae_ensemble_repro::prelude::*;
 const SEED: u64 = 21;
 
 fn main() {
+    run(HyperRanges {
+        windows: vec![8, 16, 32],
+        betas: vec![0.2, 0.5, 0.8],
+        lambdas: vec![1.0, 4.0, 16.0],
+        random_trials: 4,
+    });
+}
+
+fn run(ranges: HyperRanges) {
     let ds = DatasetKind::Ecg.generate(Scale::Quick, SEED);
     println!(
         "dataset: {} ({} train observations, no labels used)",
@@ -27,14 +36,14 @@ fn main() {
         .epochs_per_model(2)
         .train_stride(8)
         .seed(SEED);
-    let ranges = HyperRanges {
-        windows: vec![8, 16, 32],
-        betas: vec![0.2, 0.5, 0.8],
-        lambdas: vec![1.0, 4.0, 16.0],
-        random_trials: 4,
-    };
-
     let sel = select_hyperparameters(&ds.train, &model, &ens, &ranges, SEED);
+    assert_eq!(sel.random_trials.len(), ranges.random_trials);
+    assert_eq!(sel.window_sweep.len(), ranges.windows.len());
+    assert_eq!(sel.beta_sweep.len(), ranges.betas.len());
+    assert_eq!(sel.lambda_sweep.len(), ranges.lambdas.len());
+    assert!(ranges.windows.contains(&sel.window));
+    assert!(ranges.betas.contains(&sel.beta));
+    assert!(ranges.lambdas.contains(&sel.lambda));
 
     println!("\nrandom-search phase (defaults = median recon error):");
     for t in &sel.random_trials {
@@ -63,4 +72,14 @@ fn main() {
         "note: the median strategy deliberately avoids the minimum-error\n\
          configuration — the paper shows it overfits (Section 3.3, Figure 14)."
     );
+}
+
+#[test]
+fn hyperparameter_tuning_selects_within_its_ranges() {
+    run(HyperRanges {
+        windows: vec![8, 16],
+        betas: vec![0.2, 0.8],
+        lambdas: vec![1.0, 4.0],
+        random_trials: 2,
+    });
 }

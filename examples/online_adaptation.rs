@@ -28,11 +28,6 @@ use cae_ensemble_repro::prelude::*;
 /// Fixed RNG seed for every seeded component of this example.
 const SEED: u64 = 17;
 
-/// Streams served by the fleet (all share the drifting regime; their
-/// phases differ). Stream 0 is the canary that feeds the drift monitor
-/// and the re-fit reservoir.
-const STREAMS: usize = 16;
-
 /// The signal family: two superimposed sinusoids.
 fn wave(t: usize, phase: f32, drifted: bool) -> f32 {
     let (f1, scale, level) = if drifted {
@@ -43,31 +38,52 @@ fn wave(t: usize, phase: f32, drifted: bool) -> f32 {
     scale * ((t as f32 * f1 + phase).sin() + 0.5 * (t as f32 * 0.07 + phase).sin() + level)
 }
 
-fn main() {
-    cae_ensemble_repro::tensor::par::use_all_cores();
+/// What `main` and the test run at.
+struct Params {
+    train_len: usize,
+    model: CaeConfig,
+    ens: EnsembleConfig,
+    /// Streams served by the fleet (all share the drifting regime; their
+    /// phases differ). Stream 0 is the canary that feeds the drift
+    /// monitor and the re-fit reservoir.
+    streams: usize,
+}
 
-    // --- 1. Offline: train on the healthy regime ----------------------
-    let train = TimeSeries::univariate((0..600).map(|t| wave(t, 0.0, false)).collect());
-    let mut detector = CaeEnsemble::new(
-        CaeConfig::new(1).embed_dim(16).window(16).layers(2),
-        EnsembleConfig::new()
+fn main() {
+    run(Params {
+        train_len: 600,
+        model: CaeConfig::new(1).embed_dim(16).window(16).layers(2),
+        ens: EnsembleConfig::new()
             .num_models(3)
             .epochs_per_model(4)
             .train_stride(2)
             .seed(SEED),
-    );
+        streams: 16,
+    });
+}
+
+fn run(p: Params) {
+    cae_ensemble_repro::tensor::par::use_all_cores();
+
+    // --- 1. Offline: train on the healthy regime ----------------------
+    let train = TimeSeries::univariate((0..p.train_len).map(|t| wave(t, 0.0, false)).collect());
+    let window = p.model.window;
+    let mut detector = CaeEnsemble::new(p.model, p.ens);
     println!("offline training on the healthy regime…");
     detector.fit(&train);
 
     // The drift band is calibrated on the model's own healthy scores —
     // the tail of the series, past the first window's interior whose
     // protocol scores (Figure 10) run hotter than steady state.
-    let baseline = &detector.score(&train)[16..];
+    let baseline = &detector.score(&train)[window..];
 
     // --- Serve a fleet, watched by an adaptation controller -----------
-    let checkpoint = std::env::temp_dir().join("cae_online_adaptation_demo.caee");
+    let checkpoint = std::env::temp_dir().join(format!(
+        "cae_online_adaptation_demo_{}.caee",
+        std::process::id()
+    ));
     let mut fleet = FleetDetector::new(detector);
-    let ids: Vec<StreamId> = (0..STREAMS).map(|_| fleet.add_stream()).collect();
+    let ids: Vec<StreamId> = (0..p.streams).map(|_| fleet.add_stream()).collect();
     let canary = ids[0];
     let mut adapt = AdaptationController::new(
         fleet.ensemble(),
@@ -83,7 +99,8 @@ fn main() {
     );
     let (_, band_std) = adapt.monitor().baseline();
     println!(
-        "serving {STREAMS} streams; drift band: EWMA ≤ {:.4} (1.5σ, σ = {band_std:.4})",
+        "serving {} streams; drift band: EWMA ≤ {:.4} (1.5σ, σ = {band_std:.4})",
+        p.streams,
         adapt.monitor().threshold()
     );
 
@@ -107,6 +124,9 @@ fn main() {
             fleet.push(id, &obs).expect("live stream");
         }
         fleet.tick(&mut out);
+        if t >= window - 1 {
+            assert_eq!(out.len(), p.streams, "serving missed a tick at t = {t}");
+        }
 
         // Feed the canary's scored observation to the controller. (The
         // reservoir needs contiguous single-stream history — see the
@@ -145,17 +165,18 @@ fn main() {
     }
 
     // --- Report & verify ----------------------------------------------
+    let mean = |s: &[f32]| s.iter().sum::<f32>() / s.len() as f32;
     let mean_over = |lo: usize, hi: usize| {
         let s: Vec<f32> = canary_scores
             .iter()
             .filter(|&&(t, _)| t >= lo && t < hi)
             .map(|&(_, s)| s)
             .collect();
-        s.iter().sum::<f32>() / s.len() as f32
+        mean(&s)
     };
     let tripped_at = tripped_at.expect("drift must trip the monitor");
     let swapped_at = swapped_at.expect("the re-fit must publish a swap");
-    let healthy = mean_over(16, drift_start);
+    let healthy = mean_over(window, drift_start);
     let during = mean_over(drift_start + 50, swapped_at);
     let recovered = mean_over(swapped_at + 50, total_ticks);
     println!("\ncanary mean outlier score:");
@@ -175,6 +196,7 @@ fn main() {
     );
 
     assert!(tripped_at >= drift_start, "band must hold pre-drift");
+    assert_eq!(fleet.swap_count(), 1, "one drift, one re-fit");
     assert!(
         recovered < during * 0.5,
         "adapted model must at least halve the drifted score level"
@@ -182,12 +204,35 @@ fn main() {
 
     // The published checkpoint is the serving model, bit for bit.
     let reloaded = CaeEnsemble::load(&checkpoint).expect("published checkpoint loads");
+    let _ = std::fs::remove_file(&checkpoint);
     let probe = TimeSeries::univariate((0..160).map(|t| wave(t, 0.5, true)).collect());
+    let fresh = fleet.ensemble().score(&probe);
     assert_eq!(
         reloaded.score(&probe),
-        fleet.ensemble().score(&probe),
+        fresh,
         "checkpoint and serving model must score identically"
     );
-    let _ = std::fs::remove_file(&checkpoint);
+    let stale = fleet.retired_ensemble().expect("swapped").score(&probe);
+    assert!(
+        mean(&fresh) < mean(&stale),
+        "adapted model must score the drifted regime lower"
+    );
     println!("checkpoint verified: reload scores bit-identical to the serving model ✓");
+}
+
+#[test]
+fn online_adaptation_pipeline_adapts_to_drift() {
+    run(Params {
+        train_len: 300,
+        model: CaeConfig::new(1).embed_dim(8).window(8).layers(1),
+        ens: EnsembleConfig::new()
+            .num_models(2)
+            .epochs_per_model(3)
+            .batch_size(16)
+            .train_stride(2)
+            .seed(29),
+        // Enough per-tick work that the background re-fit finishes well
+        // inside the serving loop.
+        streams: 64,
+    });
 }

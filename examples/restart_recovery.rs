@@ -170,6 +170,7 @@ fn main() {
         "journal re-opened: {} torn byte(s) truncated",
         journal.truncated_bytes()
     );
+    assert_eq!(journal.truncated_bytes(), 5, "the whole torn frame goes");
 
     let snap = FleetSnapshot::load(&snap_path).expect("snapshot load");
     let mut fleet = FleetDetector::restore(ensemble.clone(), &snap).expect("fleet restore");
@@ -180,6 +181,9 @@ fn main() {
 
     let from = snap.journal_position().expect("position in snapshot");
     let records = journal.replay_from(from).expect("journal replay");
+    // Each step after the snapshot journaled one record per stream plus
+    // its tick.
+    assert_eq!(records.len(), (ids.len() + 1) * (CRASH_AT - SNAP_AT));
     let summary = {
         let ctl = &mut ctl;
         let live = ensemble.clone();
@@ -211,20 +215,20 @@ fn main() {
             .expect("reference journal");
         assert_eq!(ref_fleet.add_stream(), id);
     }
+    let bits = |scores: &[(StreamId, f32)]| -> Vec<(StreamId, u32)> {
+        scores.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    };
     for t in 0..STEPS {
         let ref_scores = step(t, &mut ref_journal, &mut ref_fleet, &mut ref_ctl, &ids)
             .expect("reference never crashes");
         if t >= CRASH_AT {
             let scores =
                 step(t, &mut journal, &mut fleet, &mut ctl, &ids).expect("post-recovery step");
-            for ((id_a, a), (id_b, b)) in scores.iter().zip(&ref_scores) {
-                assert_eq!(id_a, id_b);
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "t={t}: recovered score diverged from the reference"
-                );
-            }
+            assert_eq!(
+                bits(&scores),
+                bits(&ref_scores),
+                "t={t}: recovered score diverged from the reference"
+            );
         }
     }
     assert_eq!(
@@ -246,4 +250,9 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restart_recovery_pipeline_reconverges_bit_exactly() {
+    main();
 }

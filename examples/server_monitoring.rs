@@ -16,6 +16,14 @@ use cae_ensemble_repro::prelude::*;
 const SEED: u64 = 99;
 
 fn main() {
+    run(EnsembleConfig::new()
+        .num_models(4)
+        .epochs_per_model(4)
+        .train_stride(6)
+        .seed(SEED));
+}
+
+fn run(ens: EnsembleConfig) {
     cae_ensemble_repro::tensor::par::use_all_cores();
 
     // The SMD-like benchmark dataset: correlated server metrics with
@@ -42,11 +50,7 @@ fn main() {
                 .embed_dim(24)
                 .window(16)
                 .layers(2),
-            EnsembleConfig::new()
-                .num_models(4)
-                .epochs_per_model(4)
-                .train_stride(6)
-                .seed(SEED),
+            ens,
         )),
     ];
 
@@ -54,6 +58,8 @@ fn main() {
         let t0 = std::time::Instant::now();
         detector.fit(&ds.train);
         let scores = detector.score(&ds.test);
+        assert_eq!(scores.len(), ds.test.len());
+        assert!(scores.iter().all(|s| s.is_finite()));
         let report = EvalReport::compute(&scores, &ds.test_labels);
         println!(
             "{:<14} {report}   ({:.1}s)",
@@ -66,4 +72,13 @@ fn main() {
         "\nShape to check (paper Tables 3–4): the convolutional ensemble wins on\n\
          F1/PR; ISF trades precision for recall on interval-labelled incidents."
     );
+}
+
+#[test]
+fn server_monitoring_scores_every_detector_at_test_scale() {
+    run(EnsembleConfig::new()
+        .num_models(2)
+        .epochs_per_model(1)
+        .train_stride(16)
+        .seed(SEED));
 }

@@ -16,7 +16,30 @@ use cae_ensemble_repro::prelude::*;
 /// numbers.
 const SEED: u64 = 7;
 
+/// What `main` and the test run at.
+struct Params {
+    /// Training settings of each search trial.
+    search: EnsembleConfig,
+    /// Training settings of the final detector, less the selected β and λ.
+    detector: EnsembleConfig,
+}
+
 fn main() {
+    run(Params {
+        search: EnsembleConfig::new()
+            .num_models(2)
+            .epochs_per_model(2)
+            .train_stride(8)
+            .seed(SEED),
+        detector: EnsembleConfig::new()
+            .num_models(4)
+            .epochs_per_model(4)
+            .train_stride(6)
+            .seed(SEED),
+    });
+}
+
+fn run(p: Params) {
     cae_ensemble_repro::tensor::par::use_all_cores();
 
     let ds = DatasetKind::Msl.generate(Scale::Quick, SEED);
@@ -33,32 +56,42 @@ fn main() {
     // Fully unsupervised hyperparameter selection (Algorithm 2) on the
     // unlabeled training series, with a reduced search budget.
     let base_model = CaeConfig::new(ds.train.dim()).embed_dim(24).layers(2);
-    let search_cfg = EnsembleConfig::new()
-        .num_models(2)
-        .epochs_per_model(2)
-        .train_stride(8)
-        .seed(SEED);
     let ranges = HyperRanges::quick();
     println!("running unsupervised hyperparameter selection (median strategy)…");
-    let sel = select_hyperparameters(&ds.train, &base_model, &search_cfg, &ranges, SEED);
+    let sel = select_hyperparameters(&ds.train, &base_model, &p.search, &ranges, SEED);
     println!(
         "selected: w = {}, beta = {:.1}, lambda = {}",
         sel.window, sel.beta, sel.lambda
     );
+    assert!(ranges.windows.contains(&sel.window));
+    assert!(ranges.betas.contains(&sel.beta));
+    assert!(ranges.lambdas.contains(&sel.lambda));
 
     // Train the full detector with the selected hyperparameters.
     let mut detector = CaeEnsemble::new(
         base_model.window(sel.window),
-        EnsembleConfig::new()
-            .num_models(4)
-            .epochs_per_model(4)
-            .beta(sel.beta)
-            .lambda(sel.lambda)
-            .train_stride(6)
-            .seed(SEED),
+        p.detector.beta(sel.beta).lambda(sel.lambda),
     );
     detector.fit(&ds.train);
     let scores = detector.score(&ds.test);
+    assert_eq!(scores.len(), ds.test.len());
+    assert!(scores.iter().all(|s| s.is_finite()));
     let report = EvalReport::compute(&scores, &ds.test_labels);
     println!("final evaluation (labels used only here): {report}");
+}
+
+#[test]
+fn spacecraft_telemetry_selects_and_scores_at_test_scale() {
+    run(Params {
+        search: EnsembleConfig::new()
+            .num_models(1)
+            .epochs_per_model(1)
+            .train_stride(16)
+            .seed(SEED),
+        detector: EnsembleConfig::new()
+            .num_models(2)
+            .epochs_per_model(1)
+            .train_stride(16)
+            .seed(SEED),
+    });
 }

@@ -13,15 +13,16 @@ use cae_ensemble_repro::prelude::*;
 const SEED: u64 = 11;
 
 fn main() {
+    run(EnsembleConfig::new()
+        .num_models(3)
+        .epochs_per_model(5)
+        .seed(SEED));
+}
+
+fn run(ens: EnsembleConfig) {
     // Offline phase: train on a clean periodic signal.
     let train = TimeSeries::univariate((0..1500).map(|t| (t as f32 * 0.25).sin()).collect());
-    let mut detector = CaeEnsemble::new(
-        CaeConfig::new(1).embed_dim(16).window(16).layers(2),
-        EnsembleConfig::new()
-            .num_models(3)
-            .epochs_per_model(5)
-            .seed(SEED),
-    );
+    let mut detector = CaeEnsemble::new(CaeConfig::new(1).embed_dim(16).window(16).layers(2), ens);
     println!("offline training…");
     detector.fit(&train);
 
@@ -68,4 +69,13 @@ fn main() {
         "the injected fault at t = 300 was not flagged"
     );
     println!("fault at t = 300 flagged ✓");
+}
+
+#[test]
+fn streaming_detection_flags_the_fault_at_test_scale() {
+    run(EnsembleConfig::new()
+        .num_models(2)
+        .epochs_per_model(1)
+        .train_stride(16)
+        .seed(SEED));
 }
