@@ -328,6 +328,9 @@ mod tests {
         // A lock outside the closure span is fine.
         let outside = "fn f(m: &std::sync::Mutex<u32>) {\n    let _g = m.lock();\n    par::for_each_index(4, |i| { work(i); });\n}\n";
         assert!(rules_of("crates/baselines/src/lof.rs", outside).is_empty());
+        // `for_each_mut` tasks own their items: a lock there is flagged too.
+        let owned = "fn f(tapes: &mut [Mutex<Tape>]) {\n    par::for_each_mut(tapes, |_, t| {\n        t.lock();\n    });\n}\n";
+        assert_eq!(rules_of("crates/core/src/shard.rs", owned), vec![("C2", 3)]);
     }
 
     #[test]

@@ -92,6 +92,7 @@ fn rule_c2_locks_in_pool_jobs(
     const FAN_OUT: &[&str] = &[
         "for_each_chunk",
         "for_each_index",
+        "for_each_mut",
         "map_indexed",
         "map_indexed_min",
     ];

@@ -4,6 +4,7 @@ use crate::config::{CaeConfig, EnsembleConfig};
 use crate::diversity;
 use crate::model::{Cae, Positions};
 use crate::persist::{self, FallbackExhausted, PersistError, RecoveredLoad};
+use crate::shard::{Batch, ShardedStep};
 use cae_autograd::{transfer_fraction, ParamStore, Tape};
 use cae_data::scoring::{median, median_scores};
 use cae_data::{num_windows, Detector, Scaler, TimeSeries};
@@ -159,7 +160,7 @@ impl CaeEnsemble {
     /// every caller recycles the batch after its forward pass, so the
     /// per-epoch hot loop stays allocation-free at steady state like the
     /// rest of the training path.
-    fn gather_windows(series: &TimeSeries, starts: &[usize], w: usize) -> Tensor {
+    pub(crate) fn gather_windows(series: &TimeSeries, starts: &[usize], w: usize) -> Tensor {
         let d = series.dim();
         let mut data = scratch::take(starts.len() * w * d);
         for &s in starts {
@@ -175,8 +176,8 @@ impl CaeEnsemble {
     /// `(n_win × w × recon_dim)` buffer indexed by window position:
     /// `Some` enables the diversity-driven objective `J − λK` (Eq. 13)
     /// with the per-batch `λ` clamp, `None` trains on plain
-    /// reconstruction. [`CaeEnsemble::train_chain`] runs it once per
-    /// member.
+    /// reconstruction. Each batch runs as a [`ShardedStep`].
+    /// [`CaeEnsemble::train_chain`] runs it once per member.
     #[allow(clippy::too_many_arguments)]
     fn train_member(
         cfg: &EnsembleConfig,
@@ -190,83 +191,35 @@ impl CaeEnsemble {
         loss_trace: &mut LossTrace,
         member_index: usize,
     ) {
-        let w = model.config().window;
-        let rd = model.config().recon_dim();
+        let (w, d) = (model.config().window, scaled.dim());
         let n_win = starts.len();
         let mut opt = Adam::new(store, cfg.learning_rate);
         let mut order: Vec<usize> = (0..n_win).collect();
         let mut prev_epoch_j = f32::INFINITY;
-        // One tape for the whole member: cleared per batch, its node
-        // storage cycles through the scratch pool instead of the
-        // allocator.
-        let mut tape = Tape::new();
+        let mut step = ShardedStep::new();
+        let mut batch_starts = Vec::with_capacity(cfg.batch_size);
 
         for epoch in 0..epochs {
             order.shuffle(rng);
             let (mut j_sum, mut k_sum, mut batches) = (0.0f32, 0.0f32, 0usize);
             for chunk in order.chunks(cfg.batch_size) {
-                let batch_starts: Vec<usize> = chunk.iter().map(|&i| starts[i]).collect();
-                let batch = Self::gather_windows(scaled, &batch_starts, w);
-
-                tape.clear();
-                // Denoising training: corrupt the network input, keep
-                // the reconstruction target clean (see
-                // `EnsembleConfig::denoise_std`).
-                let (out, target) = if cfg.denoise_std > 0.0 {
-                    let noise = Tensor::rand_normal(batch.dims(), 0.0, cfg.denoise_std, rng);
-                    let noisy = batch.add(&noise);
-                    let out = model.forward(&mut tape, store, &noisy);
-                    let target = model.clean_target_tensor(&mut tape, store, &batch);
+                batch_starts.clear();
+                batch_starts.extend(chunk.iter().map(|&i| starts[i]));
+                // The whole batch's noise, drawn in one piece so the RNG
+                // stream does not depend on the split into shards.
+                let noise = (cfg.denoise_std > 0.0)
+                    .then(|| Tensor::rand_normal(&[chunk.len(), w, d], 0.0, cfg.denoise_std, rng));
+                let batch = Batch {
+                    series: scaled,
+                    starts: &batch_starts,
+                    windows: chunk,
+                    noise: noise.as_ref(),
+                    anchor,
+                };
+                let (j_val, k_val) = step.run(cfg, model, store, &batch);
+                if let Some(noise) = noise {
                     noise.recycle();
-                    noisy.recycle();
-                    (out, target)
-                } else {
-                    let out = model.forward(&mut tape, store, &batch);
-                    let target = model.target_tensor(&tape, &out, &batch);
-                    (out, target)
-                };
-                let j = tape.mse_loss(out.recon, &target);
-                let j_val = tape.value(j).item();
-                batch.recycle();
-                target.recycle();
-
-                let mut k_val = 0.0f32;
-                let loss = if let Some(mean_recon) = anchor {
-                    // F(X) for this batch, from the anchor cache.
-                    let mut f = scratch::take_zeroed(chunk.len() * w * rd);
-                    for (row, &i) in chunk.iter().enumerate() {
-                        f[row * w * rd..(row + 1) * w * rd]
-                            .copy_from_slice(&mean_recon[i * w * rd..(i + 1) * w * rd]);
-                    }
-                    let f = Tensor::from_vec(f, &[chunk.len(), w, rd]);
-                    let k = tape.mse_loss(out.recon, &f);
-                    k_val = tape.value(k).item();
-                    f.recycle();
-                    // Stability guard: the raw objective J − λK is
-                    // unbounded below (scaling all activations by α
-                    // multiplies both terms by α², so once λK > J the
-                    // model can diverge by inflating its outputs). The
-                    // effective weight is clamped per batch so the
-                    // reward never exceeds a λ-dependent share of J:
-                    // λ/(λ+4) saturates toward 1, so larger λ yields
-                    // stronger diversity pressure (the Figure 14
-                    // sweep), while accuracy always dominates the
-                    // objective.
-                    let lambda_eff = if k_val > 0.0 {
-                        let saturation = cfg.lambda / (cfg.lambda + 4.0);
-                        let bound = saturation * cfg.diversity_cap * j_val.max(1e-6) / k_val;
-                        cfg.lambda.min(bound)
-                    } else {
-                        cfg.lambda
-                    };
-                    let neg_k = tape.mul_scalar(k, -lambda_eff);
-                    tape.add(j, neg_k)
-                } else {
-                    j
-                };
-
-                tape.backward(loss);
-                tape.accumulate_param_grads(store);
+                }
                 store.clip_grad_norm(cfg.grad_clip);
                 opt.step(store);
 

@@ -61,6 +61,7 @@ pub mod hyper;
 mod model;
 pub mod persist;
 pub mod repair;
+mod shard;
 mod streaming;
 
 pub use config::{CaeConfig, EnsembleConfig, ReconstructionTarget};

@@ -42,6 +42,13 @@
 //! * Nested parallel calls (a task that itself calls into [`for_each_chunk`]
 //!   or [`map_indexed`]) run sequentially on the calling worker — the outer
 //!   job already owns the pool, and coarse-grained parallelism wins.
+//! * The pool holds one job at a time. A submitter that finds the slot
+//!   held by another submitter's job runs its own job inline on the
+//!   calling thread instead of queueing for the slot. A training step's
+//!   shard phase holds the slot for about a millisecond at the benchmark
+//!   shape (far longer at the paper's), and a serving tick on another
+//!   thread must not wait behind it; nor can a job whose tasks wait on a
+//!   second submitter's job deadlock.
 //!
 //! The thread count is a process-wide setting ([`set_threads`]); the default
 //! of 1 keeps all kernels deterministic and overhead-free for the small
@@ -236,8 +243,8 @@ impl Job {
 }
 
 struct PoolState {
-    /// The job currently being executed, if any. A single slot: concurrent
-    /// submitters queue on `done_cv` until the slot frees.
+    /// The job currently being executed, if any. A single slot: a
+    /// submitter that finds it taken runs its job inline instead.
     job: Option<Arc<Job>>,
     /// Bumped on every publication so parked workers can tell a fresh job
     /// from the one they already drained.
@@ -258,7 +265,7 @@ struct Pool {
     published: AtomicU64,
     /// Signaled when a new job is published.
     work_cv: Condvar,
-    /// Signaled when a job completes (and when the job slot frees).
+    /// Signaled when a job completes.
     done_cv: Condvar,
     /// Lifetime count of spawned worker threads (see
     /// [`pool_threads_spawned`]).
@@ -379,22 +386,20 @@ fn ensure_workers(pool: &'static Pool, wanted: usize) {
 /// Executes `total` tasks on the pool with up to `workers` threads
 /// (including the calling thread), blocking until all have finished.
 ///
-/// Falls back to a plain sequential loop when the pool would not help:
-/// one task, one configured thread, or a nested call from inside a job.
+/// Falls back to a plain sequential loop when the pool would not help or
+/// is taken: one task, one configured thread, a nested call from inside a
+/// job, or a job slot held by another submitter.
 fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
+    let inline = || (0..total).for_each(f);
     if total == 0 {
         return;
     }
     if total == 1 || workers <= 1 || IN_POOL.with(std::cell::Cell::get) {
-        for i in 0..total {
-            f(i);
-        }
-        return;
+        return inline();
     }
 
     let pool = pool();
     ensure_workers(pool, workers - 1);
-    crate::obs::set_pool_queue_depth(total);
     let job = Arc::new(Job {
         task: TaskPtr::erase(f),
         total,
@@ -405,15 +410,18 @@ fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
 
     let wake = {
         let mut st = pool.lock();
-        // Single job slot: wait for any in-flight job of another submitter.
-        while st.job.is_some() {
-            st = pool.wait_done(st);
+        if st.job.is_some() {
+            // Another submitter's job holds the single slot: run this one
+            // on the calling thread rather than wait behind it.
+            drop(st);
+            return inline();
         }
         st.job = Some(job.clone());
         st.generation += 1;
         pool.published.store(st.generation, Ordering::Release);
         st.parked > 0
     };
+    crate::obs::set_pool_queue_depth(total);
     if wake {
         pool.work_cv.notify_all();
     }
@@ -437,10 +445,6 @@ fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
             st = pool.wait_done(st);
         }
         st.job = None;
-        // Free the job slot for queued submitters.
-        if st.waiting > 0 {
-            pool.done_cv.notify_all();
-        }
     }
     crate::obs::set_pool_queue_depth(0);
 
@@ -539,6 +543,31 @@ where
     F: Fn(usize) + Sync,
 {
     run_tasks(n, threads().min(n), &f);
+}
+
+/// Runs `f(i, &mut items[i])` for every item, one pool task per item,
+/// each task with exclusive access to its own item.
+///
+/// This is the fan-out for coarse tasks that each own mutable state
+/// across calls, such as the training shards, each with its own tape:
+/// items are claimed dynamically like [`map_indexed`]'s indices, and fall
+/// back to a sequential loop in index order for one item, one configured
+/// thread, a nested call or a busy pool.
+pub fn for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
+    let base = SyncMutPtr(items.as_mut_ptr());
+    run_tasks(n, threads().min(n), &|i| {
+        debug_assert!(i < n, "task {i} exceeds item count {n}");
+        // SAFETY: `i < n == items.len()`, every index is claimed by
+        // exactly one task, and the submitter holds the `&mut [T]` borrow
+        // until every task has finished, so each `&mut T` is unique and
+        // live. `T: Send` lets it move to the worker that claims it.
+        f(i, unsafe { &mut *base.get().add(i) });
+    });
 }
 
 /// Runs `f(i)` for every `i in 0..n` in parallel, collecting results in
@@ -800,6 +829,101 @@ mod tests {
         let mismatch = (0..200).find(|_| four_chunk_job() != reference);
         set_threads(1);
         assert_eq!(mismatch, None, "oversubscribed job differs");
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_its_index() {
+        let _gate = lock();
+        for threads in [1, 2, 3] {
+            set_threads(threads);
+            let mut items: Vec<(usize, u32)> = vec![(usize::MAX, 0); 7];
+            for_each_mut(&mut items, |i, item| {
+                item.0 = i;
+                item.1 += fixed_work(500, i);
+            });
+            set_threads(1);
+            let want: Vec<(usize, u32)> = (0..7).map(|i| (i, fixed_work(500, i))).collect();
+            assert_eq!(items, want, "at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn for_each_mut_runs_inline_when_nested_or_at_one_thread() {
+        let _gate = lock();
+        let on_caller = |items: &mut [std::thread::ThreadId]| {
+            let caller = std::thread::current().id();
+            for_each_mut(items, |_, id| *id = std::thread::current().id());
+            items.iter().all(|&id| id == caller)
+        };
+        set_threads(1);
+        assert!(on_caller(&mut [std::thread::current().id(); 4]));
+        set_threads(2);
+        let nested = map_indexed(4, |_| on_caller(&mut [std::thread::current().id(); 4]));
+        set_threads(1);
+        assert_eq!(nested, vec![true; 4], "a nested fan-out left its task");
+    }
+
+    #[test]
+    fn for_each_mut_reraises_a_task_panic() {
+        let _gate = lock();
+        set_threads(2);
+        let caught = catch_unwind(|| {
+            for_each_mut(&mut [0u8; 2], |i, _| {
+                if i == 1 {
+                    panic!("task failure");
+                }
+            });
+        });
+        set_threads(1);
+        assert!(
+            caught.is_err(),
+            "panic in a for_each_mut task must propagate"
+        );
+    }
+
+    /// A job whose tasks wait for a flag that only a second submitter's
+    /// job sets: a second submitter that queued for the slot would wait
+    /// for a job that waits for it. The pair runs on a thread of its own,
+    /// joined only once it has reported back, so that a deadlock fails
+    /// the test after the timeout instead of hanging it.
+    #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the second submitter and the timeout need threads outside the pool"
+    )]
+    fn busy_slot_runs_a_second_submitters_job_inline() {
+        let _gate = lock();
+        set_threads(2);
+        let (done, finished) = std::sync::mpsc::channel();
+        let pair = std::thread::spawn(move || {
+            let started = AtomicBool::new(false);
+            let flag = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    for_each_index(2, |_| flag.store(true, Ordering::Release));
+                });
+                for_each_index(2, |_| {
+                    started.store(true, Ordering::Release);
+                    while !flag.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                });
+            });
+            done.send(()).ok();
+        });
+        let outcome = finished.recv_timeout(Duration::from_secs(30));
+        set_threads(1);
+        assert!(
+            outcome != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+            "the second submitter queued behind a job that waits for it"
+        );
+        // Reported back or panicked: either way the thread has ended.
+        if let Err(panic) = pair.join() {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Writes `target/obs/metrics.json` and `target/obs/metrics.prom` (the
 //! CI `observability` job uploads both as artifacts), and finishes with
 //! a paired A/B measurement of the enabled-telemetry overhead on the
-//! fleet tick path. The test runs everything but that measurement.
+//! fleet tick path. The test runs everything but that measurement, and
+//! writes its exports to a directory of its own under the system temp
+//! directory, which it removes afterwards.
 
 use cae_ensemble_repro::data::{JournalConfig, JournalRecord, ObservationJournal};
 use cae_ensemble_repro::prelude::*;
@@ -24,15 +26,15 @@ fn wave(t: usize, k: usize) -> f32 {
 }
 
 fn main() {
-    let ensemble = run();
+    let ensemble = run(std::path::Path::new("target/obs"));
     measure_overhead(&ensemble);
     println!("done");
 }
 
 /// Serves an instrumented fleet through a NaN burst, checks the registry
-/// against the health report and writes the exports; returns the
-/// ensemble it trained.
-fn run() -> Arc<CaeEnsemble> {
+/// against the health report and writes the exports into `out_dir`;
+/// returns the ensemble it trained.
+fn run(out_dir: &std::path::Path) -> Arc<CaeEnsemble> {
     // 1. Train a small ensemble to serve.
     let train = TimeSeries::univariate((0..400).map(|t| wave(t, 0)).collect());
     let mut detector = CaeEnsemble::new(
@@ -132,12 +134,14 @@ fn run() -> Arc<CaeEnsemble> {
     assert_eq!(counter("serve_recoveries_total"), report.recoveries);
 
     // 5. Export the catalog: deterministic JSON and Prometheus text.
-    let out_dir = std::path::Path::new("target/obs");
-    std::fs::create_dir_all(out_dir).expect("create target/obs");
+    std::fs::create_dir_all(out_dir).expect("create the export directory");
     let (json, prom) = (snapshot.to_json(), snapshot.to_prometheus());
     std::fs::write(out_dir.join("metrics.json"), &json).expect("write json");
     std::fs::write(out_dir.join("metrics.prom"), &prom).expect("write prom");
-    println!("\nwrote target/obs/metrics.json and target/obs/metrics.prom");
+    println!(
+        "\nwrote metrics.json and metrics.prom to {}",
+        out_dir.display()
+    );
     for name in [
         "serve_faulty_observations_total",
         "serve_push_latency_ns",
@@ -218,5 +222,7 @@ fn measure_overhead(ensemble: &Arc<CaeEnsemble>) {
 
 #[test]
 fn observability_pipeline_mirrors_fault_counts_and_exports() {
-    run();
+    let out_dir = std::env::temp_dir().join(format!("cae_obs_exports_{}", std::process::id()));
+    run(&out_dir);
+    std::fs::remove_dir_all(&out_dir).expect("remove the export directory");
 }

@@ -111,9 +111,19 @@ fn run(p: Params) {
     let mut swapped_at = None;
     let mut refit_ticks = 0usize;
     let drift_start = 400usize;
-    let total_ticks = 1400usize;
+    // Serve until the adapted model has settled for `SETTLE_TICKS` and
+    // then scored `RECOVERED_TICKS` more, however late the background
+    // re-fit publishes (it shares the pool with serving).
+    const SETTLE_TICKS: usize = 50;
+    const RECOVERED_TICKS: usize = 300;
+    const MAX_TICKS: usize = 3000;
+    let mut end = None;
 
-    for t in 0..total_ticks {
+    for t in 0..MAX_TICKS {
+        if swapped_at.is_some_and(|s| t == s + SETTLE_TICKS + RECOVERED_TICKS) {
+            end = Some(t);
+            break;
+        }
         let drifted = t >= drift_start;
         let mut canary_obs = [0.0f32];
         for (k, &id) in ids.iter().enumerate() {
@@ -175,10 +185,14 @@ fn run(p: Params) {
         mean(&s)
     };
     let tripped_at = tripped_at.expect("drift must trip the monitor");
-    let swapped_at = swapped_at.expect("the re-fit must publish a swap");
+    let swapped_at = swapped_at
+        .unwrap_or_else(|| panic!("the re-fit must publish a swap within {MAX_TICKS} ticks"));
+    let end = end.unwrap_or_else(|| {
+        panic!("the swap at t = {swapped_at} came too late to measure recovery by {MAX_TICKS}")
+    });
     let healthy = mean_over(window, drift_start);
     let during = mean_over(drift_start + 50, swapped_at);
-    let recovered = mean_over(swapped_at + 50, total_ticks);
+    let recovered = mean_over(swapped_at + SETTLE_TICKS, end);
     println!("\ncanary mean outlier score:");
     println!("  healthy regime            {healthy:9.4}");
     println!("  drifted, stale model      {during:9.4}");
