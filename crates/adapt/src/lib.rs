@@ -66,6 +66,19 @@
 //! }
 //! ```
 
+// The adaptation tier must not panic: clippy's restriction lints ban
+// the panicking shortcuts here (test code is exempt through
+// `clippy.toml`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_in_result
+)]
+
 use cae_chaos as chaos;
 use cae_core::{CaeEnsemble, PersistError, RefitOptions};
 use cae_data::{Detector, DriftMonitor, ObservationReservoir, TimeSeries};
@@ -711,8 +724,11 @@ impl AdaptationController {
     }
 
     fn finish(&mut self) -> Option<Arc<CaeEnsemble>> {
-        // cae-lint: allow(E1) — both callers (`poll`, `wait`) return
-        // early unless `self.worker` is `Some`.
+        #[allow(
+            clippy::expect_used,
+            clippy::unwrap_in_result,
+            reason = "both callers (`poll`, `wait`) return early unless `self.worker` is `Some`"
+        )]
         let handle = self.worker.take().expect("caller checked a worker exists");
         let report = match handle.join() {
             Ok(report) => report,

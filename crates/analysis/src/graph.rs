@@ -104,8 +104,6 @@ pub struct SymbolGraph {
     pub nodes: Vec<Node>,
     /// Adjacency: `edges[n]` are the node IDs `n` may call.
     pub edges: Vec<Vec<usize>>,
-    /// `offsets[file]` is the node ID of `files[file].fns[0]`.
-    offsets: Vec<usize>,
 }
 
 fn file_stem(path: &str) -> &str {
@@ -116,9 +114,7 @@ fn file_stem(path: &str) -> &str {
 impl SymbolGraph {
     pub fn build(files: &[FileAnalysis]) -> SymbolGraph {
         let mut nodes = Vec::new();
-        let mut offsets = Vec::with_capacity(files.len());
         for (fi, f) in files.iter().enumerate() {
-            offsets.push(nodes.len());
             for fj in 0..f.fns.len() {
                 nodes.push(Node { file: fi, func: fj });
             }
@@ -177,15 +173,7 @@ impl SymbolGraph {
             edges[id].dedup();
             edges[id].retain(|&e| e != id);
         }
-        SymbolGraph {
-            nodes,
-            edges,
-            offsets,
-        }
-    }
-
-    pub fn node_id(&self, file: usize, func: usize) -> usize {
-        self.offsets[file] + func
+        SymbolGraph { nodes, edges }
     }
 
     /// Every node reachable from `seeds` (seeds included).
@@ -207,90 +195,6 @@ impl SymbolGraph {
             }
         }
         seen
-    }
-
-    /// Serializes the graph as a deterministic JSON document for
-    /// `--graph-json` debugging: every node with its identity, spans and
-    /// site summary, then the resolved edge list.
-    pub fn to_json(&self, files: &[FileAnalysis]) -> String {
-        use crate::json_str;
-        let mut out = String::from("{\n  \"nodes\": [");
-        for (id, n) in self.nodes.iter().enumerate() {
-            let f = &files[n.file];
-            let item = &f.fns[n.func];
-            if id > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!(
-                "\"id\": {id}, \"fn\": {}, \"qual\": {}, \"path\": {}, \"line\": {}, \"end_line\": {}, \
-                 \"pub\": {}, \"trait_impl\": {}, \"test\": {}, \"returns_result\": {}, \
-                 \"spawns\": {}, \"locks\": {}, \"allocs\": {}, \"panics\": {}, \"unsafe\": {}",
-                json_str(&item.name),
-                match &item.qual {
-                    Some(q) => json_str(q),
-                    None => "null".to_string(),
-                },
-                json_str(&f.path),
-                item.line,
-                item.end_line,
-                item.is_pub,
-                item.trait_impl,
-                item.is_test,
-                item.returns_result,
-                item.sites.spawns.len(),
-                item.sites.locks.len(),
-                item.sites.allocs.len(),
-                item.sites.panics.len(),
-                item.sites.unsafe_lines.len(),
-            ));
-            out.push_str(", \"atomics\": [");
-            for (k, a) in item.sites.atomics.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"receiver\": {}, \"op\": {}, \"ordering\": {}, \"line\": {}}}",
-                    json_str(&a.receiver),
-                    json_str(&a.op),
-                    json_str(&a.ordering),
-                    a.line
-                ));
-            }
-            out.push_str("], \"io\": [");
-            for (k, io) in item.sites.io.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"op\": {}, \"line\": {}}}",
-                    json_str(&format!("{:?}", io.op)),
-                    io.line
-                ));
-            }
-            out.push_str("]}");
-        }
-        if self.nodes.is_empty() {
-            out.push_str("],\n  \"edges\": [");
-        } else {
-            out.push_str("\n  ],\n  \"edges\": [");
-        }
-        let mut first = true;
-        for (id, targets) in self.edges.iter().enumerate() {
-            for &t in targets {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\n    [{id}, {t}]"));
-            }
-        }
-        if first {
-            out.push_str("]\n}");
-        } else {
-            out.push_str("\n  ]\n}");
-        }
-        out
     }
 }
 
@@ -386,22 +290,5 @@ mod tests {
         let reach = g.reachable(&[spawner]);
         let run = find(&files, &g, "job_run_once");
         assert!(reach[run], "worker body must be spawn-reachable");
-    }
-
-    #[test]
-    fn graph_json_is_deterministic_and_shaped() {
-        let srcs = [(
-            "crates/a/src/lib.rs",
-            "pub fn a() { b(); }\nfn b() { FLAG.store(true, Ordering::Release); }\n",
-        )];
-        let (files, g) = graph_of(&srcs);
-        let (files2, g2) = graph_of(&srcs);
-        let j1 = g.to_json(&files);
-        let j2 = g2.to_json(&files2);
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\"nodes\": ["), "{j1}");
-        assert!(j1.contains("\"edges\": ["), "{j1}");
-        assert!(j1.contains("\"fn\": \"a\""), "{j1}");
-        assert!(j1.contains("\"ordering\": \"Release\""), "{j1}");
     }
 }

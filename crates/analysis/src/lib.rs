@@ -14,10 +14,15 @@
 //! It keeps only what clippy cannot check: U2 (intrinsics confined to
 //! the kernel modules), U3 (no `transmute`, `static mut` or
 //! `mem::uninitialized`), C2 (no locks in pool jobs) and the flow rules
-//! A1, W1, F1, H1, E1 and R1. `// SAFETY:` notes and thread-spawn sites
-//! are checked by clippy's `undocumented_unsafe_blocks`,
-//! `missing_safety_doc` and `disallowed_methods`, configured in the root
-//! `Cargo.toml` and `clippy.toml`.
+//! A1, W1, F1 and H1. `// SAFETY:` notes and thread-spawn sites are
+//! checked by clippy's `undocumented_unsafe_blocks`, `missing_safety_doc`
+//! and `disallowed_methods`, configured in the root `Cargo.toml` and
+//! `clippy.toml`. Panic-free serving, adaptation and recovery code is
+//! checked by clippy's `unwrap_used`, `expect_used`, `panic`,
+//! `unreachable`, `todo`, `unimplemented` and `unwrap_in_result`, which
+//! `cae-serve`, `cae-adapt` and `cae-chaos` enable at crate level and
+//! `cae-core`'s `persist` and `cae-data`'s `journal` modules enable in
+//! the module.
 //!
 //! Run it as the CI gate does:
 //!
@@ -26,7 +31,6 @@
 //! cargo run -p cae-analysis -- --workspace --json   # machine-readable
 //! cargo run -p cae-analysis -- --list-rules         # rule catalog
 //! cargo run -p cae-analysis -- --workspace --rule A1    # one rule family
-//! cargo run -p cae-analysis -- --workspace --graph-json # symbol graph
 //! cargo run -p cae-analysis -- path/to/file.rs …    # lint specific files
 //! ```
 //!
@@ -34,8 +38,8 @@
 //! a reason:
 //!
 //! ```text
-//! // cae-lint: allow(E1) — slot liveness was asserted two lines up
-//! let s = self.slots.get(id.slot).expect("invalid StreamId");
+//! // cae-lint: allow(W1) — `read_header` checked `len` against the buffer
+//! let body = &buf[len as usize..];
 //! ```
 //!
 //! See the README's "Static analysis & safety" section for the rule
@@ -132,7 +136,7 @@ pub fn lint_file(root: &Path, file: &Path) -> std::io::Result<Vec<Finding>> {
 /// {
 ///   "files_scanned": 63,
 ///   "findings": [
-///     {"rule": "E1", "path": "crates/x/src/lib.rs", "line": 7, "message": "…"}
+///     {"rule": "W1", "path": "crates/x/src/lib.rs", "line": 7, "message": "…"}
 ///   ]
 /// }
 /// ```
@@ -164,7 +168,7 @@ pub fn findings_to_json(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -189,7 +193,7 @@ mod tests {
     #[test]
     fn json_escapes_and_shapes() {
         let findings = vec![Finding {
-            rule: "E1",
+            rule: "W1",
             path: "a \"b\"\\c.rs".to_string(),
             line: 3,
             message: "line1\nline2".to_string(),

@@ -5,7 +5,7 @@
 
 use cae_analysis::{
     analyze_files, find_workspace_root, findings_to_json, finish, workspace_rs_files, Finding,
-    SymbolGraph, RULES,
+    RULES,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,7 +14,6 @@ struct Options {
     workspace: bool,
     json: bool,
     list_rules: bool,
-    graph_json: bool,
     rule_filter: Vec<String>,
     root: Option<PathBuf>,
     files: Vec<PathBuf>,
@@ -22,14 +21,13 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: cae-lint [--workspace] [--json] [--rule ID]… [--list-rules]\n\
-     \x20               [--graph-json] [--root DIR] [FILE…]\n\
+     \x20               [--root DIR] [FILE…]\n\
      \n\
      --workspace   lint every .rs file of the enclosing cargo workspace\n\
      --json        machine-readable output (stable shape, see lib docs)\n\
      --rule ID     report only this rule (repeatable); exit 2 on an\n\
      \x20             unknown ID\n\
      --list-rules  print the rule catalog and exit\n\
-     --graph-json  print the workspace symbol graph as JSON and exit 0\n\
      --root DIR    anchor workspace-relative paths at DIR (default: the\n\
      \x20             nearest ancestor Cargo.toml with a [workspace] table)\n\
      FILE…         lint specific files instead of the whole workspace"
@@ -40,7 +38,6 @@ fn parse_args() -> Result<Options, String> {
         workspace: false,
         json: false,
         list_rules: false,
-        graph_json: false,
         rule_filter: Vec::new(),
         root: None,
         files: Vec::new(),
@@ -51,7 +48,6 @@ fn parse_args() -> Result<Options, String> {
             "--workspace" => opts.workspace = true,
             "--json" => opts.json = true,
             "--list-rules" => opts.list_rules = true,
-            "--graph-json" => opts.graph_json = true,
             "--rule" => {
                 let id = args.next().ok_or("--rule requires a rule ID")?;
                 if !RULES.iter().any(|r| r.id == id) {
@@ -118,7 +114,7 @@ fn main() -> ExitCode {
     };
 
     // Pass 1 over every file, then pass 2 once over the union so the
-    // flow rules (A1, W1, F1, H1, E1, R1) see the whole symbol graph.
+    // flow rules (A1, W1, F1, H1) see the whole symbol graph.
     let analyses = match analyze_files(&root, &files) {
         Ok(a) => a,
         Err(e) => {
@@ -126,12 +122,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.graph_json {
-        let graph = SymbolGraph::build(&analyses);
-        println!("{}", graph.to_json(&analyses));
-        return ExitCode::SUCCESS;
-    }
 
     let mut findings: Vec<Finding> = finish(&analyses);
     if !opts.rule_filter.is_empty() {

@@ -4,15 +4,14 @@
 //! This is not a Rust parser. It recovers exactly the structure the
 //! flow rules ([`crate::rules::flow`]) need:
 //!
-//! * which `fn` items exist, with their enclosing impl/trait type, span,
-//!   visibility, `#[cfg(test)]`-ness and whether they return `Result`;
+//! * which `fn` items exist, with their enclosing impl/trait type and
+//!   inline module, span and `#[cfg(test)]`-ness;
 //! * the rule-relevant *sites* inside each body — call sites (the
 //!   call-edge approximation the symbol graph resolves), atomic
 //!   operations with their `Ordering` argument, thread spawns, heap
-//!   allocations, wall-clock reads, panic sites, durability I/O
-//!   (`write_all`/`sync_all`/`sync_data`/`rename`), lock acquisitions,
-//!   `unsafe` tokens, and unguarded `as usize` slice indexing for the
-//!   wire-safety rule.
+//!   allocations, wall-clock reads, durability I/O
+//!   (`write_all`/`sync_all`/`sync_data`/`rename`), and unguarded
+//!   `as usize` slice indexing for the wire-safety rule.
 //!
 //! Robustness contract (pinned by `tests/parser_robustness.rs`): parsing
 //! never panics on any input, every recorded span/line stays in bounds,
@@ -139,22 +138,15 @@ pub struct Sites {
     pub atomics: Vec<AtomicSite>,
     /// Lines of `…::spawn(`/`….spawn(` calls.
     pub spawns: Vec<usize>,
-    /// Lines of `.lock(` calls.
-    pub locks: Vec<usize>,
     /// Heap-allocation sites (`vec!`, `format!`, `Vec::with_capacity`,
     /// `.to_vec()`, `.collect()`, `Box::new`, `String::from`, …).
     pub allocs: Vec<Site>,
     /// `Instant` / `SystemTime` tokens.
     pub wall_clock: Vec<Site>,
-    /// Panic sites: `.unwrap()`, `.expect(`, `panic!`, `unreachable!`,
-    /// `todo!`, `unimplemented!`.
-    pub panics: Vec<Site>,
     pub io: Vec<IoSite>,
     /// `as usize` casts (or values let-bound from one) used as a slice
     /// index without a preceding bounds guard — the W1 raw material.
     pub wire_casts: Vec<Site>,
-    /// Lines of `unsafe` tokens.
-    pub unsafe_lines: Vec<usize>,
 }
 
 /// One recovered `fn` item.
@@ -165,15 +157,8 @@ pub struct FnItem {
     pub qual: Option<String>,
     /// Enclosing inline-module path (`["wire"]` for `mod wire { fn f }`).
     pub modpath: Vec<String>,
-    /// Declared in an `impl Trait for Type` block or as a trait method
-    /// with a default body — callable through the trait, so an external
-    /// entry point even without `pub`.
-    pub trait_impl: bool,
-    pub is_pub: bool,
     /// Inside a `#[cfg(test)]` region.
     pub is_test: bool,
-    /// The signature's own (last-arrow) return type mentions `Result`.
-    pub returns_result: bool,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// 1-based line of the closing `}`.
@@ -192,7 +177,6 @@ pub fn parse(lexed: &Lexed<'_>) -> Vec<FnItem> {
     let end = p.toks.len();
     let root = Ctx {
         qual: None,
-        trait_impl: false,
         modpath: Vec::new(),
     };
     p.items(0, end, &root);
@@ -211,7 +195,6 @@ pub fn orphan_sites(lexed: &Lexed<'_>, fns: &[FnItem]) -> Sites {
 #[derive(Clone)]
 struct Ctx {
     qual: Option<String>,
-    trait_impl: bool,
     modpath: Vec<String>,
 }
 
@@ -259,7 +242,6 @@ impl ItemParser<'_, '_> {
         // region where `for`/type names are meaningful (HRTB bounds).
         let mut angle = 0i32;
         let mut type_name: Option<&str> = None;
-        let mut saw_for = false;
         let mut saw_where = false;
         let mut open = None;
         let mut j = i + 1;
@@ -275,10 +257,7 @@ impl ItemParser<'_, '_> {
                 }
                 ";" if t.depth == depth && angle == 0 => return j + 1,
                 "where" if angle == 0 => saw_where = true,
-                "for" if angle == 0 && !saw_where => {
-                    saw_for = true;
-                    type_name = None;
-                }
+                "for" if angle == 0 && !saw_where => type_name = None,
                 text if angle == 0
                     && !saw_where
                     && t.is_ident()
@@ -295,7 +274,6 @@ impl ItemParser<'_, '_> {
         let close = self.matching_brace(open, end, depth);
         let inner = Ctx {
             qual: type_name.map(str::to_string),
-            trait_impl: saw_for,
             modpath: ctx.modpath.clone(),
         };
         self.items(open + 1, close, &inner);
@@ -324,11 +302,8 @@ impl ItemParser<'_, '_> {
         }
         let Some(open) = open else { return end };
         let close = self.matching_brace(open, end, depth);
-        // Default trait methods are callable through the trait object /
-        // bound, so they count as externally reachable entries.
         let inner = Ctx {
             qual: name,
-            trait_impl: true,
             modpath: ctx.modpath.clone(),
         };
         self.items(open + 1, close, &inner);
@@ -363,7 +338,6 @@ impl ItemParser<'_, '_> {
         }
         let inner = Ctx {
             qual: None,
-            trait_impl: false,
             modpath,
         };
         self.items(open + 1, close, &inner);
@@ -397,21 +371,11 @@ impl ItemParser<'_, '_> {
         let Some(open) = open else { return end };
         let close = self.matching_brace(open, end, depth);
 
-        // The *last* `->` belongs to the fn itself (earlier arrows are
-        // fn-typed parameters); `Result` after it marks the return type.
-        let arrow = (i + 2..open)
-            .rev()
-            .find(|&k| toks[k].text == ">" && k >= 1 && toks[k - 1].text == "-");
-        let returns_result = arrow.is_some_and(|a| (a + 1..open).any(|k| toks[k].text == "Result"));
-
-        let is_pub = fn_is_pub(toks, i);
-
         // Parse nested items first so their spans can be excluded from
         // this fn's site collection.
         let fns_before = self.fns.len();
         let body_ctx = Ctx {
             qual: None,
-            trait_impl: false,
             modpath: ctx.modpath.clone(),
         };
         self.items(open + 1, close, &body_ctx);
@@ -424,55 +388,13 @@ impl ItemParser<'_, '_> {
             name: name_tok.text.to_string(),
             qual: ctx.qual.clone(),
             modpath: ctx.modpath.clone(),
-            trait_impl: ctx.trait_impl,
-            is_pub,
             is_test: ft.in_test,
-            returns_result,
             line: ft.line,
             end_line: toks[close].line,
             span: (i, close),
             sites,
         });
         close + 1
-    }
-}
-
-/// Walks back over `const`/`unsafe`/`async`/`extern` (and a
-/// `pub(crate)`-style restriction) to find a `pub` before the `fn`.
-fn fn_is_pub(toks: &[Token<'_>], fn_idx: usize) -> bool {
-    let mut k = fn_idx;
-    loop {
-        if k == 0 {
-            return false;
-        }
-        let p = toks[k - 1].text;
-        if matches!(p, "const" | "unsafe" | "async" | "extern") {
-            k -= 1;
-            continue;
-        }
-        if p == ")" {
-            // `pub(crate)` / `pub(super)`: skip the restriction parens.
-            let mut b = k - 1;
-            let mut pd = 0usize;
-            loop {
-                match toks[b].text {
-                    ")" => pd += 1,
-                    "(" => {
-                        pd = pd.saturating_sub(1);
-                        if pd == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                if b == 0 {
-                    break;
-                }
-                b -= 1;
-            }
-            return b > 0 && toks[b - 1].text == "pub";
-        }
-        return p == "pub";
     }
 }
 
@@ -561,7 +483,6 @@ impl<'a> SiteScan<'_, 'a> {
             "]" => {
                 self.brackets.pop();
             }
-            "unsafe" => self.sites.unsafe_lines.push(t.line),
             "Instant" | "SystemTime" => self.sites.wall_clock.push(Site {
                 what: t.text.to_string(),
                 line: t.line,
@@ -581,18 +502,11 @@ impl<'a> SiteScan<'_, 'a> {
 
         // Macro sites.
         if nx == "!" && matches!(nx2, "(" | "[" | "{") {
-            match name {
-                "vec" | "format" => self.sites.allocs.push(Site {
+            if matches!(name, "vec" | "format") {
+                self.sites.allocs.push(Site {
                     what: format!("{name}!"),
                     line,
-                }),
-                "panic" | "unreachable" | "todo" | "unimplemented" => {
-                    self.sites.panics.push(Site {
-                        what: format!("{name}!"),
-                        line,
-                    });
-                }
-                _ => {}
+                });
             }
             return;
         }
@@ -639,9 +553,6 @@ impl<'a> SiteScan<'_, 'a> {
         if name == "spawn" && matches!(prev, "." | ":") {
             self.sites.spawns.push(line);
         }
-        if method && name == "lock" {
-            self.sites.locks.push(line);
-        }
         if ATOMIC_OPS.contains(&name) {
             if let Some(ord) = self.ordering_arg(i + 1) {
                 let receiver = (method && i >= 2)
@@ -682,12 +593,6 @@ impl<'a> SiteScan<'_, 'a> {
         };
         if let Some(op) = io_op {
             self.sites.io.push(IoSite { op, line });
-        }
-        if method && matches!(name, "unwrap" | "expect") {
-            self.sites.panics.push(Site {
-                what: name.to_string(),
-                line,
-            });
         }
     }
 
@@ -829,35 +734,23 @@ mod wire {
 }
 ";
         let fns = parse_src(src);
-        let by_name: Vec<(&str, Option<&str>, bool, bool)> = fns
+        let by_name: Vec<(&str, Option<&str>)> = fns
             .iter()
-            .map(|f| (f.name.as_str(), f.qual.as_deref(), f.trait_impl, f.is_pub))
+            .map(|f| (f.name.as_str(), f.qual.as_deref()))
             .collect();
         assert_eq!(
             by_name,
             vec![
-                ("free", None, false, true),
-                ("new", Some("Widget"), false, true),
-                ("helper", Some("Widget"), false, false),
-                ("default", Some("Widget"), true, false),
-                ("twice", Some("Greet"), true, false),
-                ("encode", None, false, true),
+                ("free", None),
+                ("new", Some("Widget")),
+                ("helper", Some("Widget")),
+                ("default", Some("Widget")),
+                ("twice", Some("Greet")),
+                ("encode", None),
             ]
         );
         let encode = fns.iter().find(|f| f.name == "encode").unwrap();
         assert_eq!(encode.modpath, vec!["wire".to_string()]);
-    }
-
-    #[test]
-    fn result_detection_uses_the_last_arrow() {
-        let fns = parse_src(
-            "fn a() -> Result<u32, E> { Ok(1) }\n\
-             fn b(g: fn() -> Result<u32, E>) -> u32 { 0 }\n\
-             fn c() {}\n",
-        );
-        assert!(fns[0].returns_result);
-        assert!(!fns[1].returns_result);
-        assert!(!fns[2].returns_result);
     }
 
     #[test]
@@ -954,30 +847,25 @@ mod wire {
         assert_eq!(ops, vec![IoOp::Write, IoOp::SyncAll, IoOp::Rename]);
         assert_eq!(s.allocs.len(), 2);
         assert_eq!(s.spawns.len(), 1);
-        assert_eq!(s.locks.len(), 1);
-        assert_eq!(s.panics.len(), 1);
-    }
-
-    #[test]
-    fn pub_visibility_walks_back_over_modifiers() {
-        let fns = parse_src(
-            "pub unsafe fn a() {}\n\
-             pub(crate) fn b() {}\n\
-             pub const unsafe fn c() {}\n\
-             fn d() {}\n",
-        );
-        let vis: Vec<bool> = fns.iter().map(|f| f.is_pub).collect();
-        assert_eq!(vis, vec![true, true, true, false]);
+        // Lock and panic sites are plain method-call sites: C2 scans its
+        // locks token by token, and clippy checks the panics.
+        for name in ["lock", "unwrap"] {
+            assert!(
+                s.calls.iter().any(|c| c.method && c.name == name),
+                "{name}: {:?}",
+                s.calls
+            );
+        }
     }
 
     #[test]
     fn orphan_sites_cover_item_level_expressions() {
-        let lexed = lex("static BAD: u32 = compute().unwrap();\n\
-             fn fine() -> Option<u32> { None }\n");
+        let lexed = lex("struct S {\n    started: Instant,\n}\n\
+             fn fine() -> Option<u32> { let t = Instant::now(); None }\n");
         let fns = parse(&lexed);
         let orphans = orphan_sites(&lexed, &fns);
-        assert_eq!(orphans.panics.len(), 1);
-        assert_eq!(orphans.panics[0].line, 1);
+        assert_eq!(orphans.wall_clock.len(), 1);
+        assert_eq!(orphans.wall_clock[0].line, 2);
     }
 
     #[test]

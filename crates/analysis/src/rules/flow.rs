@@ -1,16 +1,13 @@
-//! Pass-2 flow rules: A1, W1, F1, H1 and the call-graph-aware E1/R1.
+//! Pass-2 flow rules: A1, W1, F1 and H1.
 //!
 //! These run over the whole-workspace [`SymbolGraph`] after every file
 //! has been analyzed, so they can reason about properties a per-file
 //! token walk cannot see: which functions a spawn's closure transitively
 //! runs (A1), whether a `rename` has a `sync_all` anywhere on its write
-//! path (F1), and which private helpers are actually reachable from the
-//! serving/recovery entry points (H1, E1, R1).
+//! path (F1), and which fns are reachable from the scoring entry points
+//! (H1).
 
-use super::{
-    is_hot_scope, is_reader_path, is_recovery_path, is_serving_path, is_test_path, FileAnalysis,
-    Finding,
-};
+use super::{is_hot_scope, is_reader_path, is_test_path, FileAnalysis, Finding};
 use crate::graph::SymbolGraph;
 use crate::parser::{FnItem, IoOp};
 
@@ -62,8 +59,6 @@ pub fn run(files: &[FileAnalysis], graph: &SymbolGraph, findings: &mut Vec<Findi
     rule_w1_wire_safety(files, findings);
     rule_f1_durability_ordering(files, graph, findings);
     rule_h1_hot_path_hygiene(files, graph, findings);
-    rule_e1_no_panic_serving(files, graph, findings);
-    rule_r1_no_unwrap_in_result_fns(files, graph, findings);
 }
 
 fn fn_of<'a>(
@@ -341,107 +336,6 @@ fn rule_h1_hot_path_hygiene(
                 message: format!(
                     "`{}` in serving-tier item state: wall-clock values in hot-path state break deterministic replay",
                     w.what
-                ),
-            });
-        }
-    }
-}
-
-/// The audited set for E1/R1: entry points (pub or trait-callable fns in
-/// scope) plus every in-scope fn reachable from one.
-fn reachable_audit_set(
-    files: &[FileAnalysis],
-    graph: &SymbolGraph,
-    in_scope: impl Fn(&str) -> bool,
-) -> Vec<bool> {
-    let entries: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&id| {
-            let (f, item) = fn_of(files, graph, id);
-            is_live(files, graph, id) && in_scope(&f.scope_path) && (item.is_pub || item.trait_impl)
-        })
-        .collect();
-    graph.reachable(&entries)
-}
-
-/// E1v2: panicking calls (`unwrap`/`expect`/`panic!`-family) in
-/// serving-path library code, but only in fns actually reachable from a
-/// public or trait-callable entry point — dead private helpers are not
-/// serving-path hazards. Item-level initializer sites are always
-/// audited.
-fn rule_e1_no_panic_serving(
-    files: &[FileAnalysis],
-    graph: &SymbolGraph,
-    findings: &mut Vec<Finding>,
-) {
-    let reach = reachable_audit_set(files, graph, is_serving_path);
-    for id in 0..graph.nodes.len() {
-        let (f, item) = fn_of(files, graph, id);
-        if !reach[id] || !is_live(files, graph, id) || !is_serving_path(&f.scope_path) {
-            continue;
-        }
-        for p in &item.sites.panics {
-            findings.push(Finding {
-                rule: "E1",
-                path: f.path.clone(),
-                line: p.line,
-                message: format!(
-                    "`{}` in serving-path library code reachable from a public entry point: return a typed error, or allowlist with `// cae-lint: allow(E1)` and the invariant that makes it infallible",
-                    p.what
-                ),
-            });
-        }
-    }
-    for f in files {
-        if !is_serving_path(&f.scope_path) || is_test_path(&f.scope_path) {
-            continue;
-        }
-        for p in &f.orphans.panics {
-            findings.push(Finding {
-                rule: "E1",
-                path: f.path.clone(),
-                line: p.line,
-                message: format!(
-                    "`{}` in a serving-path item initializer: return a typed error, or allowlist with `// cae-lint: allow(E1)` and the invariant that makes it infallible",
-                    p.what
-                ),
-            });
-        }
-    }
-}
-
-/// R1v2: `.unwrap()`/`.expect(…)` inside a `Result`-returning fn in
-/// recovery-path code, but only when the fn is reachable from a public
-/// or trait-callable entry point — the typed error channel is right
-/// there, so propagate with `?` instead. Complements E1: E1 bans panics
-/// across the whole serving surface, R1 additionally covers the chaos
-/// crate and the journal and names the sharper fix where a `Result` is
-/// in scope.
-fn rule_r1_no_unwrap_in_result_fns(
-    files: &[FileAnalysis],
-    graph: &SymbolGraph,
-    findings: &mut Vec<Finding>,
-) {
-    let reach = reachable_audit_set(files, graph, is_recovery_path);
-    for id in 0..graph.nodes.len() {
-        let (f, item) = fn_of(files, graph, id);
-        if !reach[id]
-            || !is_live(files, graph, id)
-            || !is_recovery_path(&f.scope_path)
-            || !item.returns_result
-        {
-            continue;
-        }
-        for p in &item.sites.panics {
-            if p.what != "unwrap" && p.what != "expect" {
-                continue;
-            }
-            findings.push(Finding {
-                rule: "R1",
-                path: f.path.clone(),
-                line: p.line,
-                message: format!(
-                    "`{}` inside a Result-returning recovery-path function: propagate the error with `?` (or allowlist with `// cae-lint: allow(R1)` and the invariant that makes it infallible)",
-                    p.what
                 ),
             });
         }

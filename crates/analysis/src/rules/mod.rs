@@ -13,7 +13,7 @@
 //!    the token rules (U2, U3, C2) that need no cross-file context.
 //! 2. **Per workspace** ([`finish`]): build the symbol graph
 //!    ([`crate::graph`]) over every analyzed file and run the flow rules
-//!    (A1, W1, F1, H1, E1, R1) that reason about reachability, atomic
+//!    (A1, W1, F1, H1) that reason about reachability, atomic
 //!    pairings and write/sync/rename ordering; then filter everything
 //!    through the allow directives.
 //!
@@ -34,8 +34,7 @@ use std::collections::HashMap;
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule ID (`U2`, `U3`, `C2`, `A1`, `W1`, `F1`, `H1`, `E1`,
-    /// `R1`).
+    /// Stable rule ID (`U2`, `U3`, `C2`, `A1`, `W1`, `F1`, `H1`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -81,14 +80,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "H1",
         summary: "no heap allocation in serving-tier fns reachable from the scoring entries (FleetDetector::push/tick, StreamingDetector::push); no Instant/SystemTime anywhere on those paths except the sanctioned ObsClock seam (crates/obs/src/clock.rs)",
-    },
-    RuleInfo {
-        id: "E1",
-        summary: "no unwrap/expect/panic in serving-path library code reachable from public entry points (cae-serve, cae-adapt, cae-core::persist)",
-    },
-    RuleInfo {
-        id: "R1",
-        summary: "no unwrap/expect inside reachable Result-returning functions in recovery-path code (cae-chaos, cae-serve, cae-adapt, cae-core::persist, cae-data::journal)",
     },
 ];
 
@@ -177,7 +168,7 @@ fn path_override(src: &str) -> Option<String> {
 
 /// For each line, the rules allowed on it.
 ///
-/// A `// cae-lint: allow(R1, R2)` directive suppresses findings on its
+/// A `// cae-lint: allow(A1, W1)` directive suppresses findings on its
 /// own line (trailing comment) and — when it sits on a pure-comment line
 /// — on the next line that has code (chained through further comment
 /// lines, so a reason can follow on its own comment line).
@@ -225,7 +216,7 @@ fn allows_rule(allowed: &[String], rule: &str) -> bool {
 // ---------------------------------------------------------------------
 
 /// Test-ish file locations: integration tests, examples, benches, bins.
-/// Rules about production panics and locks don't apply there.
+/// Rules about production code don't apply there.
 pub(crate) fn is_test_path(path: &str) -> bool {
     let p = path.replace('\\', "/");
     p.contains("/tests/")
@@ -238,28 +229,6 @@ pub(crate) fn is_test_path(path: &str) -> bool {
 
 pub(crate) fn is_intrinsics_sanctioned(path: &str) -> bool {
     path == "crates/tensor/src/simd.rs" || path == "crates/tensor/src/gemm.rs"
-}
-
-/// Serving-path library code: panics here take down a serving loop or
-/// corrupt a checkpoint load, so failures must be typed or allowlisted.
-pub(crate) fn is_serving_path(path: &str) -> bool {
-    path.starts_with("crates/serve/src/")
-        || path.starts_with("crates/adapt/src/")
-        || path == "crates/core/src/persist.rs"
-}
-
-/// Recovery-path code: the fault-injection crate, the two tiers that
-/// degrade gracefully through it, and the durability layer (checkpoint
-/// wire format and write-ahead journal) whose whole contract is typed
-/// errors on corrupt input. A function here that already returns
-/// `Result` has a typed error channel; an `unwrap`/`expect` inside it is
-/// a latent panic on exactly the paths the fault matrix exercises.
-pub(crate) fn is_recovery_path(path: &str) -> bool {
-    path.starts_with("crates/chaos/src/")
-        || path.starts_with("crates/serve/src/")
-        || path.starts_with("crates/adapt/src/")
-        || path == "crates/core/src/persist.rs"
-        || path == "crates/data/src/journal.rs"
 }
 
 /// Wire-reader code: every module that decodes length/offset fields
@@ -331,95 +300,6 @@ mod tests {
         // `for_each_mut` tasks own their items: a lock there is flagged too.
         let owned = "fn f(tapes: &mut [Mutex<Tape>]) {\n    par::for_each_mut(tapes, |_, t| {\n        t.lock();\n    });\n}\n";
         assert_eq!(rules_of("crates/core/src/shard.rs", owned), vec![("C2", 3)]);
-    }
-
-    #[test]
-    fn e1_scopes_to_reachable_serving_code() {
-        // A public entry point is audited directly.
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(rules_of("crates/serve/src/lib.rs", src), vec![("E1", 1)]);
-        assert_eq!(rules_of("crates/core/src/persist.rs", src), vec![("E1", 1)]);
-        assert!(rules_of("crates/core/src/ensemble.rs", src).is_empty());
-        assert!(rules_of("crates/metrics/src/auc.rs", src).is_empty());
-
-        // A private helper is audited only when an entry reaches it.
-        let reached = "pub fn entry(x: Option<u32>) -> u32 { helper(x) }\nfn helper(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(
-            rules_of("crates/serve/src/lib.rs", reached),
-            vec![("E1", 2)]
-        );
-        let unreached =
-            "pub fn entry() -> u32 { 0 }\nfn dead(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert!(
-            rules_of("crates/serve/src/lib.rs", unreached).is_empty(),
-            "unreachable private fns are not serving-path findings"
-        );
-
-        // Trait-impl methods are entries even without `pub`.
-        let trait_impl =
-            "impl Detector for S {\n    fn score(&self, x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
-        assert_eq!(
-            rules_of("crates/serve/src/lib.rs", trait_impl),
-            vec![("E1", 2)]
-        );
-
-        // Item-level initializers stay audited (no reachability to
-        // compute).
-        let orphan = "static X: u32 = parse().unwrap();\n";
-        assert_eq!(rules_of("crates/serve/src/lib.rs", orphan), vec![("E1", 1)]);
-    }
-
-    #[test]
-    fn r1_scopes_to_reachable_result_fns_in_recovery_crates() {
-        // Inside a Result-returning pub fn in a recovery crate: flagged.
-        let bad = "pub fn f() -> Result<u32, E> {\n    let v = g().unwrap();\n    Ok(v)\n}\n";
-        assert_eq!(
-            rules_of("crates/chaos/src/failpoint.rs", bad),
-            vec![("R1", 2)]
-        );
-
-        // Same code outside the recovery crates: clean.
-        assert!(rules_of("crates/core/src/ensemble.rs", bad).is_empty());
-
-        // A non-Result fn in a recovery crate: R1 stays quiet (cae-chaos
-        // is not E1 territory, so fully clean).
-        let opt = "pub fn f() -> Option<u32> {\n    Some(g().unwrap())\n}\n";
-        assert!(rules_of("crates/chaos/src/rng.rs", opt).is_empty());
-
-        // In cae-serve, E1 fires regardless and R1 adds the sharper
-        // finding only when a Result is in scope.
-        let serve = rules_of("crates/serve/src/lib.rs", bad);
-        assert_eq!(serve, vec![("E1", 2), ("R1", 2)]);
-        assert_eq!(rules_of("crates/serve/src/lib.rs", opt), vec![("E1", 2)]);
-
-        // The *last* arrow decides: a fn-typed parameter returning
-        // Result does not make the outer fn Result-returning.
-        let param = "pub fn f(g: fn() -> Result<u32, E>) -> u32 {\n    g().unwrap()\n}\n";
-        assert!(rules_of("crates/chaos/src/input.rs", param).is_empty());
-
-        // A private Result helper reached from a pub entry is audited;
-        // an unreached one is not.
-        let reached = "pub fn entry() -> u32 { helper().unwrap_or(0) }\nfn helper() -> Result<u32, E> {\n    Ok(g().unwrap())\n}\n";
-        assert_eq!(
-            rules_of("crates/chaos/src/failpoint.rs", reached),
-            vec![("R1", 3)]
-        );
-        let unreached =
-            "pub fn entry() -> u32 { 0 }\nfn dead() -> Result<u32, E> {\n    Ok(g().unwrap())\n}\n";
-        assert!(rules_of("crates/chaos/src/failpoint.rs", unreached).is_empty());
-
-        // Bodyless trait declarations are skipped; the impl is not.
-        let traits = "trait T {\n    fn f() -> Result<u32, E>;\n}\nimpl T for S {\n    fn f() -> Result<u32, E> {\n        Ok(g().unwrap())\n    }\n}\n";
-        assert_eq!(
-            rules_of("crates/chaos/src/failpoint.rs", traits),
-            vec![("R1", 6)]
-        );
-
-        // Test code is exempt, and allow(R1) suppresses.
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f() -> Result<u32, E> {\n        Ok(g().unwrap())\n    }\n}\n";
-        assert!(rules_of("crates/chaos/src/failpoint.rs", in_test).is_empty());
-        let allowed = "pub fn f() -> Result<u32, E> {\n    // cae-lint: allow(R1) — g() is infallible here\n    let v = g().unwrap();\n    Ok(v)\n}\n";
-        assert!(rules_of("crates/chaos/src/failpoint.rs", allowed).is_empty());
     }
 
     #[test]
@@ -549,25 +429,26 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_trailing_and_next_line() {
+        let journal = "crates/data/src/journal.rs";
         let trailing =
-            "pub fn f(x: Option<u32>) -> u32 { x.unwrap() } // cae-lint: allow(E1) slot checked\n";
-        assert!(rules_of("crates/serve/src/lib.rs", trailing).is_empty());
+            "pub fn f(b: &[u8], n: u32) -> u8 { b[n as usize] } // cae-lint: allow(W1) n checked\n";
+        assert!(rules_of(journal, trailing).is_empty());
 
-        let above = "// cae-lint: allow(E1) — generation tag proves liveness\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert!(rules_of("crates/serve/src/lib.rs", above).is_empty());
+        let above = "// cae-lint: allow(W1) — the caller bounds n\npub fn f(b: &[u8], n: u32) -> u8 { b[n as usize] }\n";
+        assert!(rules_of(journal, above).is_empty());
 
         // The wrong rule ID does not suppress.
-        let wrong = "// cae-lint: allow(W1)\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert_eq!(rules_of("crates/serve/src/lib.rs", wrong), vec![("E1", 2)]);
+        let wrong = "// cae-lint: allow(H1)\npub fn f(b: &[u8], n: u32) -> u8 { b[n as usize] }\n";
+        assert_eq!(rules_of(journal, wrong), vec![("W1", 2)]);
     }
 
     #[test]
     fn path_directive_overrides_scoping_but_not_diagnostics() {
-        let src = "// cae-lint: path=crates/serve/src/lib.rs\npub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let found = lint_source("crates/analysis/tests/fixtures/e1.rs", src);
+        let src = "// cae-lint: path=crates/data/src/journal.rs\npub fn f(b: &[u8], n: u32) -> u8 { b[n as usize] }\n";
+        let found = lint_source("crates/analysis/tests/fixtures/w1.rs", src);
         assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "E1");
+        assert_eq!(found[0].rule, "W1");
         assert_eq!(found[0].line, 2);
-        assert_eq!(found[0].path, "crates/analysis/tests/fixtures/e1.rs");
+        assert_eq!(found[0].path, "crates/analysis/tests/fixtures/w1.rs");
     }
 }

@@ -1,18 +1,18 @@
-// cae-lint: path=crates/serve/src/lib.rs
+// cae-lint: path=crates/data/src/journal.rs
 //! Allow fixture: trailing and preceding `allow` directives suppress a
 //! finding; a mismatched rule ID does not.
 
-pub fn trailing(xs: &[f32]) -> f32 {
-    *xs.first().unwrap() // cae-lint: allow(E1) — fixture invariant
+pub fn trailing(buf: &[u8], len: u32) -> u8 {
+    buf[len as usize] // cae-lint: allow(W1) — fixture invariant
 }
 
-pub fn preceding(xs: &[f32]) -> f32 {
-    // cae-lint: allow(E1) — the reason may continue on further
+pub fn preceding(buf: &[u8], len: u32) -> u8 {
+    // cae-lint: allow(W1) — the reason may continue on further
     // comment lines before the code line it suppresses.
-    *xs.last().unwrap()
+    buf[len as usize]
 }
 
-pub fn mismatched(xs: &[f32]) -> f32 {
-    // cae-lint: allow(W1) — wrong rule: E1 still fires below
-    *xs.get(1).unwrap()
+pub fn mismatched(buf: &[u8], len: u32) -> u8 {
+    // cae-lint: allow(H1) — wrong rule: W1 still fires below
+    buf[len as usize]
 }

@@ -1,7 +1,7 @@
 // cae-lint: path=crates/serve/src/lib.rs
 //! Clean fixture: nothing in this file fires any rule.
 
-/// Serving code returns typed errors instead of panicking (E1).
+/// Serving code returns typed errors instead of panicking.
 pub fn checked_div(a: u32, b: u32) -> Result<u32, String> {
     if b == 0 {
         return Err("division by zero".to_string());

@@ -1,14 +1,14 @@
-// cae-lint: path=crates/data/src/journal.rs
-//! Seeds exactly one R1 violation in the write-ahead journal: an
-//! `unwrap` inside a Result-returning replay helper. The journal is
-//! recovery-path code (its whole contract is typed errors on corrupt
-//! input) but sits outside E1's serving scope, so only R1 fires.
+//! Clippy fixture for the retired cae-lint rule R1: an `unwrap` inside a
+//! Result-returning journal replay helper; `unwrap_used` and
+//! `unwrap_in_result` fire at line 8. The Option-returning neighbor stays
+//! clean.
+pub struct JournalError;
 
 pub fn read_frame_len(buf: &[u8]) -> Result<u32, JournalError> {
-    let raw: [u8; 4] = buf[..4].try_into().unwrap(); // line 8: R1
+    let raw: [u8; 4] = buf[..4].try_into().unwrap(); // line 8
     Ok(u32::from_le_bytes(raw))
 }
 
-fn read_frame_len_opt(buf: &[u8]) -> Option<u32> {
+pub fn read_frame_len_opt(buf: &[u8]) -> Option<u32> {
     Some(u32::from_le_bytes(buf.get(..4)?.try_into().ok()?))
 }

@@ -63,13 +63,13 @@ fn check(src: &str, what: &str) -> String {
         assert!(!f.name.is_empty(), "{what}: unnamed fn item");
         let site_lines = f
             .sites
-            .panics
+            .allocs
             .iter()
-            .chain(&f.sites.allocs)
             .chain(&f.sites.wall_clock)
+            .chain(&f.sites.wire_casts)
             .map(|s| s.line)
             .chain(f.sites.spawns.iter().copied())
-            .chain(f.sites.locks.iter().copied());
+            .chain(f.sites.calls.iter().map(|c| c.line));
         for line in site_lines {
             assert!(
                 line >= 1 && line <= n_lines.max(1),

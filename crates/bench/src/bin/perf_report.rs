@@ -26,7 +26,7 @@
 //!   more than `--max-regress-pct` (default 15) percent
 //! * `--max-regress-pct N`  regression tolerance for `--baseline`
 
-use cae_autograd::{ParamStore, Tape};
+use cae_autograd::ParamStore;
 use cae_bench::HARNESS_SEED;
 use cae_core::diversity::{ensemble_diversity, pairwise_diversity};
 use cae_core::{Cae, CaeConfig, CaeEnsemble, EnsembleConfig, StreamingDetector};
@@ -356,24 +356,29 @@ fn main() {
     ));
 
     // --- One training step of the CAE basic model -----------------------
-    // Batch 32 windows of the paper-shaped model (D' = 24, w = 16, 2
-    // layers): forward, backward, Adam step.
-    let cfg = CaeConfig::new(4).embed_dim(24).window(16).layers(2);
-    let mut store = ParamStore::new();
-    let model = Cae::new(cfg, &mut store, &mut rng);
-    let mut opt = Adam::new(&store, 1e-3);
-    let batch = Tensor::rand_uniform(&[32, 16, 4], -1.0, 1.0, &mut rng);
-    let mut tape = Tape::new();
-    results.push(bench("training_step", "B32 w16 D'24 L2", budget, || {
-        tape.clear();
-        let out = model.forward(&mut tape, &store, &batch);
-        let target = model.target_tensor(&tape, &out, &batch);
-        let loss = tape.mse_loss(out.recon, &target);
-        target.recycle();
-        tape.backward(loss);
-        tape.accumulate_param_grads(&mut store);
-        opt.step(&mut store);
-    }));
+    // The step `train_member` runs, reached through the real path: a
+    // one-member, one-epoch fit over exactly one batch of 32 windows (47
+    // observations at stride 1) of the paper-shaped model (D' = 24,
+    // w = 16, 2 layers). Besides the two-shard forward and backward, the
+    // gradient clip and the Adam step, it pays the fit's set-up: the
+    // scaler, the Xavier init and the shards' tapes.
+    let step_series = sine_series(4, 32 + 16 - 1);
+    results.push(bench(
+        "training_step",
+        "fit M1 B32 w16 D'24 L2",
+        budget,
+        || {
+            let mc = CaeConfig::new(4).embed_dim(24).window(16).layers(2);
+            let ec = EnsembleConfig::new()
+                .num_models(1)
+                .epochs_per_model(1)
+                .batch_size(32)
+                .train_stride(1)
+                .seed(HARNESS_SEED);
+            let mut ens = CaeEnsemble::new(mc, ec);
+            ens.fit(&step_series);
+        },
+    ));
 
     // --- Optimizer step and training noise ------------------------------
     // One Adam step over a model's parameters: the gradients are
@@ -394,6 +399,9 @@ fn main() {
             opt.step(store);
         })
     };
+    let mut store = ParamStore::new();
+    let cfg = CaeConfig::new(4).embed_dim(24).window(16).layers(2);
+    let _model = Cae::new(cfg, &mut store, &mut rng);
     results.push(adam_step("D'24 L2 D4", &mut store, &mut rng));
     // The paper architecture (D' = 256, L = 10, D = 38 as for SMD).
     let mut paper_store = ParamStore::new();

@@ -235,6 +235,7 @@ impl FailPoint {
                 std::thread::sleep(std::time::Duration::from_millis(ms));
                 None
             }
+            #[allow(clippy::panic, reason = "the scheduled fault is a panic")]
             Fault::Panic => panic!("chaos: injected panic at failpoint `{}`", self.name),
         }
     }

@@ -30,6 +30,20 @@
 //! assert!(sites::PERSIST_WRITE.fire().is_none()); // one-shot
 //! ```
 
+// Failpoints run inside the serving and recovery paths, so they must not
+// panic except where a schedule injects one: clippy's restriction lints
+// ban the panicking shortcuts here (test code is exempt through
+// `clippy.toml`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_in_result
+)]
+
 pub mod failpoint;
 pub mod input;
 pub mod rng;

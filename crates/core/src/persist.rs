@@ -28,6 +28,19 @@
 //! The training loss trace is diagnostic state, not model state, and is
 //! deliberately not persisted; a loaded ensemble has an empty trace.
 
+// Checkpoint saving and loading must not panic: clippy's restriction
+// lints ban the panicking shortcuts in this module (test code is exempt
+// through `clippy.toml`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_in_result
+)]
+
 use crate::config::{CaeConfig, EnsembleConfig, ReconstructionTarget};
 use crate::model::Cae;
 use cae_autograd::ParamStore;

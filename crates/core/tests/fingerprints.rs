@@ -2,8 +2,9 @@
 //! produces, pinned across thread counts and, on the scalar path, as
 //! constants.
 //!
-//! Each config is fitted, scored and warm re-fitted at pools 1 and 2 on
-//! the default dispatch path and again with the scalar path forced. The
+//! Each config is fitted, scored, served (one fleet tick and a run of
+//! streaming pushes) and warm re-fitted at pools 1 and 2 on the default
+//! dispatch path and again with the scalar path forced. The
 //! hashes must agree across pool widths within each path. On the scalar
 //! path they must also equal the constants below on x86_64 Linux
 //! (elsewhere `exp` and `tanh` come from another libm). A change that
@@ -13,9 +14,10 @@
 //! All tests share one mutex: the thread count and the dispatch override
 //! are process-global state.
 
-use cae_core::{CaeConfig, CaeEnsemble, EnsembleConfig, ReconstructionTarget};
+use cae_autograd::Tape;
+use cae_core::{CaeConfig, CaeEnsemble, EnsembleConfig, ReconstructionTarget, StreamingDetector};
 use cae_data::{Detector, TimeSeries};
-use cae_tensor::{par, simd};
+use cae_tensor::{par, simd, Tensor};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -65,9 +67,13 @@ impl Fnv {
     }
 }
 
-/// Hashes of one fit: its loss trace, `member_scores`, `score`, and the
-/// loss trace and `score` of a warm re-fit.
-type Prints = [u64; 5];
+/// Hashes of one fit: its loss trace, `member_scores`, `score`, the
+/// loss trace and `score` of a warm re-fit, one fleet tick and a run of
+/// streaming pushes.
+type Prints = [u64; 7];
+
+/// Streams in the fleet tick: a full serving batch.
+const TICK_STREAMS: usize = 64;
 
 /// A `dim`-variate seasonal series with a level shift and two spikes.
 fn series(len: usize, dim: usize, phase: f32) -> TimeSeries {
@@ -86,6 +92,33 @@ fn series(len: usize, dim: usize, phase: f32) -> TimeSeries {
     s
 }
 
+/// One fleet tick: the windows of `TICK_STREAMS` streams, each starting
+/// one observation after the last, scaled with the training scaler and
+/// scored in one batch as the fleet detector scores them.
+fn fleet_tick(ens: &CaeEnsemble, test: &TimeSeries) -> Vec<f32> {
+    let (w, d) = (ens.model_config().window, test.dim());
+    let mut windows = Vec::with_capacity(TICK_STREAMS * w * d);
+    for start in 0..TICK_STREAMS {
+        windows.extend_from_slice(&test.data()[start * d..(start + w) * d]);
+    }
+    if let Some(scaler) = ens.scaler() {
+        scaler.apply_in_place(&mut windows);
+    }
+    let batch = Tensor::from_vec(windows, &[TICK_STREAMS, w, d]);
+    let mut scores = Vec::new();
+    ens.score_scaled_windows_into(&mut Tape::new(), &batch, &mut scores);
+    scores
+}
+
+/// The scores of one `StreamingDetector` fed `test` observation by
+/// observation.
+fn streaming(ens: &CaeEnsemble, test: &TimeSeries) -> Vec<f32> {
+    let mut detector = StreamingDetector::new(ens);
+    (0..test.len())
+        .filter_map(|t| detector.push(test.observation(t)))
+        .collect()
+}
+
 fn prints(model: &CaeConfig, cfg: &EnsembleConfig, train_len: usize) -> Prints {
     let train = series(train_len, model.dim, 0.0);
     let test = series(160, model.dim, 1.3);
@@ -99,6 +132,8 @@ fn prints(model: &CaeConfig, cfg: &EnsembleConfig, train_len: usize) -> Prints {
         Fnv::new().floats(ens.score(&test)),
         Fnv::new().trace(refit.loss_trace()),
         Fnv::new().floats(refit.score(&test)),
+        Fnv::new().floats(fleet_tick(&ens, &test)),
+        Fnv::new().floats(streaming(&ens, &test)),
     ]
 }
 
@@ -154,6 +189,8 @@ fn offline_shape() {
             0xf9f9b1c9b3c4284b,
             0xacdcffbd7a32711b,
             0x0375334e1548b46c,
+            0x83eb071c68578821,
+            0x3fa9dd8632b20e94,
         ],
     );
 }
@@ -182,6 +219,8 @@ fn attention_off() {
             0x4a586dda0f1fac61,
             0x01c476af0d0323ae,
             0x1cd871306692c301,
+            0x16e8e84ef06e02b3,
+            0x260b1ab68308a0a9,
         ],
     );
 }
@@ -210,6 +249,8 @@ fn raw_target_odd_batch() {
             0x38bd8b5cbe71eb22,
             0xce17e3d1887d05ef,
             0x5a9b984593019209,
+            0xb5794becec7839ff,
+            0x66045db175c8a628,
         ],
     );
 }

@@ -58,6 +58,19 @@
 //! frame append, `journal.fsync` fails the durability barrier — both on
 //! the same deterministic [`cae_chaos::Schedule`]s as every other site.
 
+// Journal writes and replay must not panic: clippy's restriction lints
+// ban the panicking shortcuts in this module (test code is exempt
+// through `clippy.toml`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_in_result
+)]
+
 use cae_chaos as chaos;
 use cae_obs::{Counter, CounterCell, Histogram, MetricsRegistry, ObsClock};
 use std::fmt;

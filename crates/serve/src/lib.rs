@@ -49,6 +49,18 @@
 //! }
 //! ```
 
+// The serving tier must not panic: clippy's restriction lints ban the
+// panicking shortcuts here (test code is exempt through `clippy.toml`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_in_result
+)]
+
 use cae_autograd::Tape;
 use cae_chaos as chaos;
 use cae_core::CaeEnsemble;
@@ -898,9 +910,12 @@ impl FleetDetector {
     }
 
     fn slot(&self, id: StreamId) -> &StreamSlot {
-        // cae-lint: allow(E1) — panicking on a forged or stale StreamId
-        // is the documented contract of the id-based API: ids are only
-        // minted by `add_stream` and checked against the generation tag.
+        #[allow(
+            clippy::expect_used,
+            reason = "panicking on a forged or stale StreamId is the documented contract of the \
+                      id-based API: ids are only minted by `add_stream` and checked against the \
+                      generation tag"
+        )]
         let s = self.slots.get(id.slot).expect("invalid StreamId");
         assert!(
             s.active && s.generation == id.generation,
@@ -910,8 +925,10 @@ impl FleetDetector {
     }
 
     fn slot_mut(&mut self, id: StreamId) -> &mut StreamSlot {
-        // cae-lint: allow(E1) — same documented panicking contract as
-        // `slot` above.
+        #[allow(
+            clippy::expect_used,
+            reason = "the same documented panicking contract as `slot` above"
+        )]
         let s = self.slots.get_mut(id.slot).expect("invalid StreamId");
         assert!(
             s.active && s.generation == id.generation,

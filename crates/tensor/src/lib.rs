@@ -57,7 +57,7 @@
 // Every unsafe operation inside an `unsafe fn` must sit in its own
 // `unsafe` block with a SAFETY comment — keeps the per-operation
 // invariants of the SIMD kernels and the worker pool auditable (and
-// machine-checked by `cae-lint` rule U1).
+// machine-checked by clippy's `undocumented_unsafe_blocks`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod activate;
