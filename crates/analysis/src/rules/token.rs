@@ -93,6 +93,7 @@ fn rule_c2_locks_in_pool_jobs(
         "for_each_chunk",
         "for_each_index",
         "for_each_mut",
+        "for_each_span",
         "map_indexed",
         "map_indexed_min",
     ];

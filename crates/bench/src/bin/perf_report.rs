@@ -452,6 +452,30 @@ fn main() {
         },
     ));
 
+    // `offline`'s latency probe: one `score` of 79 observations (64
+    // windows) by a 5-member ensemble at D = 38, i.e. one last-position
+    // forward of 64 windows and one all-position forward of window 0 per
+    // member.
+    let mut probe_ens = CaeEnsemble::new(
+        CaeConfig::new(38).embed_dim(24).window(16).layers(2),
+        EnsembleConfig::new()
+            .num_models(5)
+            .epochs_per_model(1)
+            .train_stride(8)
+            .seed(HARNESS_SEED),
+    );
+    probe_ens.fit(&sine_series(38, 200));
+    let probe = sine_series(38, 79);
+    results.push(bench(
+        "score_probe",
+        "5 members, D38, 79 obs",
+        budget,
+        || {
+            std::hint::black_box(probe_ens.score(&probe));
+        },
+    ));
+    drop(probe_ens);
+
     // --- Ensemble-level scoring primitives --------------------------------
     // The model-free steps around the member forwards: the Eq. 15 median
     // over members, the Figure 10 window→series protocol (first window

@@ -22,6 +22,18 @@ const INFERENCE_BATCH: usize = 64;
 /// One trained basic model: the network and its parameters.
 type Member = (Cae, ParamStore);
 
+/// The windows one run of the scoring kernel
+/// ([`CaeEnsemble::last_errors`]) reads.
+#[derive(Clone, Copy)]
+enum Windows<'a> {
+    /// The windows of a scaled series starting at the listed
+    /// observations, gathered one [`INFERENCE_BATCH`] chunk per task.
+    Series(&'a TimeSeries, &'a [usize]),
+    /// One gathered `(B, w, D)` batch, scored as a single chunk: a fleet
+    /// tick is one forward per member.
+    Batch(&'a Tensor),
+}
+
 /// Training loss trace: (model index, epoch, mean J, mean K) per epoch.
 type LossTrace = Vec<(usize, usize, f32, f32)>;
 
@@ -141,9 +153,9 @@ impl CaeEnsemble {
         self.scaler.as_ref()
     }
 
-    /// Trained members with their parameter stores (crate-internal; the
-    /// streaming scorer runs them window-by-window).
-    pub(crate) fn members_internal(&self) -> &[Member] {
+    /// The trained basic models with their parameter stores, in
+    /// generation order (empty before [`Detector::fit`]).
+    pub fn members(&self) -> &[Member] {
         &self.members
     }
 
@@ -380,6 +392,13 @@ impl CaeEnsemble {
 
     /// Per-member outlier score series for `test` (before the median
     /// aggregation). Exposed for the ablation and diversity experiments.
+    ///
+    /// Figure 10: window 0 scores all its positions, every later window
+    /// its last one. Every window's last error comes from the scoring
+    /// kernel that [`CaeEnsemble::score_scaled_windows_into`] runs too,
+    /// one pool task per (member, 64-window chunk); window 0's first
+    /// `w − 1` come from one extra one-window [`Positions::All`] forward
+    /// per member.
     pub fn member_scores(&self, test: &TimeSeries) -> Vec<Vec<f32>> {
         assert!(!self.members.is_empty(), "member_scores before fit()");
         let scaled = self.scale(test);
@@ -389,40 +408,26 @@ impl CaeEnsemble {
             "test series ({} observations) shorter than one window ({w})",
             scaled.len()
         );
-        let n_win = num_windows(scaled.len(), w);
-        let starts: Vec<usize> = (0..n_win).collect();
-        let n_chunks = n_win.div_ceil(INFERENCE_BATCH);
-        // One task per (member, chunk): members are independent until the
-        // Eq. 15 median, and chunk-sized tasks keep every pool thread busy
-        // however the member count divides by the thread count.
-        // Figure 10: window 0 scores all its positions, every later window
-        // its last one. Only the first chunk holds window 0, so only it
-        // runs an all-position forward; its other windows keep their last
-        // error.
-        let pieces = par::map_indexed(self.members.len() * n_chunks, |task| {
-            let (model, store) = &self.members[task / n_chunks];
-            let i = task % n_chunks;
-            let chunk = &starts[i * INFERENCE_BATCH..((i + 1) * INFERENCE_BATCH).min(n_win)];
-            let batch = Self::gather_windows(&scaled, chunk, w);
-            let mut piece = Vec::with_capacity(chunk.len() + w - 1);
-            if i == 0 {
-                let mut errors = scratch::take(chunk.len() * w);
+        let starts: Vec<usize> = (0..num_windows(scaled.len(), w)).collect();
+        let (last, span) = self.last_errors(Windows::Series(&scaled, &starts));
+        let first = Self::gather_windows(&scaled, &[0], w);
+        let per_member = self
+            .members
+            .iter()
+            .zip(last.chunks_exact(span))
+            .map(|((model, store), last)| {
+                let mut series = Vec::with_capacity(w + starts.len());
                 model
-                    .infer(store, &batch, Positions::All)
-                    .errors_into(&batch, &mut errors);
-                piece.extend_from_slice(&errors[..w]);
-                piece.extend(errors[w..].chunks_exact(w).map(|row| row[w - 1]));
-                scratch::recycle(errors);
-            } else {
-                model
-                    .infer(store, &batch, Positions::Last)
-                    .errors_into(&batch, &mut piece);
-            }
-            batch.recycle();
-            piece
-        });
-        // Each member's series is its pieces in chunk order.
-        pieces.chunks(n_chunks).map(<[Vec<f32>]>::concat).collect()
+                    .infer(store, &first, Positions::All)
+                    .errors_into(&first, &mut series);
+                series.truncate(w - 1);
+                series.extend_from_slice(&last[..starts.len()]);
+                series
+            })
+            .collect();
+        first.recycle();
+        scratch::recycle(last);
+        per_member
     }
 
     /// Scores the observations of `test` with the first `m` members only —
@@ -443,10 +448,10 @@ impl CaeEnsemble {
     /// This is the serving hot path shared by [`StreamingDetector`] and
     /// the fleet detector: every member runs on the whole batch, so with
     /// `B` pooled streams inference goes through the packed GEMM kernels
-    /// instead of `B` batch-size-1 forwards. Members run the tape-free
-    /// [`Cae::infer`] for [`Positions::Last`], which computes only the
-    /// last position's receptive field and is bit-identical to the batch
-    /// scorer's forward there. `_tape` is unused; the parameter stays so
+    /// instead of `B` batch-size-1 forwards, and the members run as pool
+    /// tasks of the batch scorer's scoring kernel: [`Cae::infer`] for
+    /// [`Positions::Last`], which computes only the last position's
+    /// receptive field. `_tape` is unused; the parameter stays so
     /// existing callers build unchanged.
     ///
     /// [`StreamingDetector`]: crate::StreamingDetector
@@ -459,12 +464,7 @@ impl CaeEnsemble {
         let b = batch.dims()[0];
         let m = self.members.len();
         // Last-position error per (member, window), member-major.
-        let mut last = scratch::take(m * b);
-        for (model, store) in &self.members {
-            model
-                .infer(store, batch, Positions::Last)
-                .errors_into(batch, &mut last);
-        }
+        let (last, _) = self.last_errors(Windows::Batch(batch));
         let mut column = scratch::take(m);
         out.reserve(b);
         for row in 0..b {
@@ -474,6 +474,48 @@ impl CaeEnsemble {
         }
         scratch::recycle(column);
         scratch::recycle(last);
+    }
+
+    /// The scoring kernel: the last-position error (Eq. 14) of every
+    /// window under every member, from [`Cae::infer`] for
+    /// [`Positions::Last`], which computes only the last position's
+    /// receptive field. Returns a member-major scratch buffer, one span
+    /// of whole chunks per member holding its errors in window order
+    /// (a short last chunk leaves its tail unwritten), and the span
+    /// length.
+    ///
+    /// One pool task per (member, chunk): members are independent until
+    /// the Eq. 15 median, and each task writes only its own part of its
+    /// member's span, so the errors are the same bits at any thread
+    /// count.
+    fn last_errors(&self, windows: Windows<'_>) -> (Vec<f32>, usize) {
+        let w = self.model_cfg.window;
+        let (chunk, n_chunks) = match windows {
+            Windows::Series(_, starts) => (
+                starts.len().min(INFERENCE_BATCH),
+                starts.len().div_ceil(INFERENCE_BATCH),
+            ),
+            Windows::Batch(batch) => (batch.dims()[0], 1),
+        };
+        let mut out = scratch::take_full(self.members.len() * chunk * n_chunks);
+        par::for_each_span(&mut out, chunk, |task, errors| {
+            let (model, store) = &self.members[task / n_chunks];
+            let i = task % n_chunks;
+            match windows {
+                Windows::Series(series, starts) => {
+                    let starts = &starts[i * chunk..((i + 1) * chunk).min(starts.len())];
+                    let batch = Self::gather_windows(series, starts, w);
+                    model
+                        .infer(store, &batch, Positions::Last)
+                        .write_errors(&batch, &mut errors[..starts.len()]);
+                    batch.recycle();
+                }
+                Windows::Batch(batch) => model
+                    .infer(store, batch, Positions::Last)
+                    .write_errors(batch, errors),
+            }
+        });
+        (out, chunk * n_chunks)
     }
 
     /// Writes the trained state — both configurations, the training
@@ -673,7 +715,6 @@ impl Detector for CaeEnsemble {
 mod tests {
     use super::*;
     use crate::config::ReconstructionTarget;
-    use cae_data::scoring::series_scores_from_window_errors;
 
     fn sine_series(len: usize, dim: usize) -> TimeSeries {
         let mut s = TimeSeries::empty(dim);
@@ -722,33 +763,42 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `member_scores` runs its first chunk with all positions and the
-    /// rest with the last position only; its series must equal the
-    /// Figure 10 mapping of all-position errors of every window, bit for
-    /// bit, whichever way the windows split into inference chunks and
-    /// the (member, chunk) tasks split over the pool.
+    /// `member_scores` takes window 0's first `w − 1` errors from a
+    /// one-window all-position forward and every window's last error from
+    /// a last-position forward of its chunk; its series must equal those
+    /// errors read off all-position forwards, bit for bit, whichever way
+    /// the windows split into inference chunks and the (member, chunk)
+    /// tasks split over the pool.
     #[test]
     fn member_scores_match_all_position_series_at_chunk_boundaries() {
         let (mc, ec) = tiny_configs(2);
         let mut ens = CaeEnsemble::new(mc, ec.num_models(2).epochs_per_model(1));
         ens.fit(&sine_series(120, 2));
         let w = ens.model_config().window;
-        for n_win in [1, 63, 64, 65, 129] {
+        let all_errors = |model: &Cae, store: &ParamStore, batch: &Tensor| {
+            let mut errors = Vec::new();
+            model
+                .infer(store, batch, Positions::All)
+                .errors_into(batch, &mut errors);
+            errors
+        };
+        for n_win in [1, 2, 63, 64, 65, 129] {
             let test = sine_series(n_win + w - 1, 2);
             let scaled = ens.scale(&test);
             let starts: Vec<usize> = (0..n_win).collect();
+            let first = CaeEnsemble::gather_windows(&scaled, &[0], w);
             let expected: Vec<Vec<u32>> = ens
                 .members
                 .iter()
                 .map(|(model, store)| {
-                    let mut errors = Vec::new();
+                    let mut series = all_errors(model, store, &first);
+                    series.truncate(w - 1);
                     for chunk in starts.chunks(INFERENCE_BATCH) {
                         let batch = CaeEnsemble::gather_windows(&scaled, chunk, w);
-                        model
-                            .infer(store, &batch, Positions::All)
-                            .errors_into(&batch, &mut errors);
+                        let errors = all_errors(model, store, &batch);
+                        series.extend(errors.chunks_exact(w).map(|row| row[w - 1]));
                     }
-                    bits(&series_scores_from_window_errors(&errors, n_win, w))
+                    bits(&series)
                 })
                 .collect();
             for threads in [1, 2] {
@@ -987,9 +1037,9 @@ mod tests {
         let warm = ens.refit(&recent, &RefitOptions::warm(1, 5));
         let cold = ens.refit(&recent, &RefitOptions::cold(1, 5));
         for m in 0..ens.num_members() {
-            let live = &ens.members_internal()[m].1;
-            let d_warm = live.param_distance_sq(&warm.members_internal()[m].1);
-            let d_cold = live.param_distance_sq(&cold.members_internal()[m].1);
+            let live = &ens.members()[m].1;
+            let d_warm = live.param_distance_sq(&warm.members()[m].1);
+            let d_cold = live.param_distance_sq(&cold.members()[m].1);
             assert!(
                 d_warm < d_cold,
                 "member {m}: warm distance {d_warm} not below cold {d_cold}"

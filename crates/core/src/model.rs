@@ -643,6 +643,14 @@ impl Inference {
     /// as `recon.sub(target)` followed by [`Tensor::row_sq_norms`]
     /// computes it on the tape's outputs.
     pub fn errors_into(&self, batch: &Tensor, out: &mut Vec<f32>) {
+        let at = out.len();
+        out.resize(at + self.fold.cols(), 0.0);
+        self.write_errors(batch, &mut out[at..]);
+    }
+
+    /// [`Inference::errors_into`] into a slice that holds exactly one
+    /// error per computed position.
+    pub(crate) fn write_errors(&self, batch: &Tensor, out: &mut [f32]) {
         let (fold, r) = (self.fold, self.recon_dim);
         assert_eq!(
             batch.dims()[..2],
@@ -650,10 +658,10 @@ impl Inference {
             "errors need the forward's batch"
         );
         let (n, t, full) = (fold.cols(), fold.width(), fold.batches * fold.window);
+        assert_eq!(out.len(), n, "one error per computed position");
         // Difference rows of TILE columns at a time, gathered channel by
         // channel so every channel row is read in order.
         let mut diff = scratch::take_full(TILE * r);
-        out.reserve(n);
         for col0 in (0..n).step_by(TILE) {
             let cols = col0..(col0 + TILE).min(n);
             for ch in 0..r {
@@ -667,7 +675,9 @@ impl Inference {
                     diff[i * r + ch] = self.recon[ch * n + col] - target;
                 }
             }
-            out.extend(diff.chunks_exact(r).take(cols.len()).map(simd::sq_sum));
+            for (e, row) in out[cols].iter_mut().zip(diff.chunks_exact(r)) {
+                *e = simd::sq_sum(row);
+            }
         }
         scratch::recycle(diff);
     }

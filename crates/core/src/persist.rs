@@ -823,7 +823,7 @@ mod tests {
             ens.model_config(),
             ens.ensemble_config(),
             ens.scaler(),
-            ens.members_internal(),
+            ens.members(),
         )
     }
 
@@ -966,7 +966,7 @@ mod tests {
             ens.model_config(),
             ens.ensemble_config(),
             Some(&wrong),
-            ens.members_internal(),
+            ens.members(),
         );
         assert!(matches!(
             decode_ensemble(&buf),

@@ -64,7 +64,7 @@ pub fn repair_series(ensemble: &CaeEnsemble, series: &TimeSeries, threshold: f32
     let starts: Vec<usize> = (0..n_win).collect();
     // Raw-space reconstructions of every window, `(n_win × w × D)` per member.
     let recon_members: Vec<Vec<f32>> = ensemble
-        .members_internal()
+        .members()
         .iter()
         .map(|(model, store)| CaeEnsemble::reconstruct_all(model, store, &scaled, &starts))
         .collect();

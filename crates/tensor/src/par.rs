@@ -550,23 +550,47 @@ where
 ///
 /// This is the fan-out for coarse tasks that each own mutable state
 /// across calls, such as the training shards, each with its own tape:
-/// items are claimed dynamically like [`map_indexed`]'s indices, and fall
-/// back to a sequential loop in index order for one item, one configured
-/// thread, a nested call or a busy pool.
+/// [`for_each_span`] with one-item spans.
 pub fn for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let n = items.len();
-    let base = SyncMutPtr(items.as_mut_ptr());
+    for_each_span(items, 1, |i, item| f(i, &mut item[0]));
+}
+
+/// Runs `f(i, span)` for every `span_len`-sized span of `out`, one pool
+/// task per span, claimed dynamically like [`map_indexed`]'s indices.
+///
+/// Unlike [`for_each_chunk`] there is no [`PAR_THRESHOLD`]: each task is
+/// coarse (the scorer's runs a whole forward pass) however few values it
+/// writes. `out.len()` must be a multiple of `span_len`.
+pub fn for_each_span<T, F>(out: &mut [T], span_len: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if span_len == 0 {
+        return;
+    }
+    assert_eq!(
+        out.len() % span_len,
+        0,
+        "length {} is not a multiple of span length {span_len}",
+        out.len()
+    );
+    let n = out.len() / span_len;
+    let base = SyncMutPtr(out.as_mut_ptr());
     run_tasks(n, threads().min(n), &|i| {
-        debug_assert!(i < n, "task {i} exceeds item count {n}");
-        // SAFETY: `i < n == items.len()`, every index is claimed by
-        // exactly one task, and the submitter holds the `&mut [T]` borrow
-        // until every task has finished, so each `&mut T` is unique and
-        // live. `T: Send` lets it move to the worker that claims it.
-        f(i, unsafe { &mut *base.get().add(i) });
+        debug_assert!(i < n, "task {i} exceeds span count {n}");
+        // SAFETY: `(i + 1) * span_len <= out.len()` because `i < n`, every
+        // span is claimed by exactly one task, and the submitter holds the
+        // `&mut [T]` borrow until every task has finished, so each span is
+        // unique and live. `T: Send` lets it move to the worker that
+        // claims it.
+        f(i, unsafe {
+            std::slice::from_raw_parts_mut(base.get().add(i * span_len), span_len)
+        });
     });
 }
 
@@ -845,6 +869,24 @@ mod tests {
             let want: Vec<(usize, u32)> = (0..7).map(|i| (i, fixed_work(500, i))).collect();
             assert_eq!(items, want, "at {threads} threads");
         }
+    }
+
+    #[test]
+    fn for_each_span_hands_every_span_to_one_task() {
+        let _gate = lock();
+        for threads in [1, 2, 3] {
+            set_threads(threads);
+            let mut out = vec![u32::MAX; 5 * 3];
+            for_each_span(&mut out, 3, |i, span| {
+                for (j, v) in span.iter_mut().enumerate() {
+                    *v = fixed_work(300, i * 3 + j);
+                }
+            });
+            set_threads(1);
+            let want: Vec<u32> = (0..15).map(|k| fixed_work(300, k)).collect();
+            assert_eq!(out, want, "at {threads} threads");
+        }
+        for_each_span(&mut [0u32; 0], 4, |_, _| panic!("no span to visit"));
     }
 
     #[test]
