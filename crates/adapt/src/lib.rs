@@ -334,8 +334,6 @@ fn attempt_refit(
 ) -> Result<(CaeEnsemble, Vec<f32>), String> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
         if chaos::sites::ADAPT_REFIT.fire().is_some() {
-            // cae-lint: allow(H1) — failure-path string on the refit
-            // worker thread, never on the serving thread.
             return Err("chaos: injected re-fit failure".to_string());
         }
         let adapted = snapshot.refit(recent, opts);
@@ -344,8 +342,6 @@ fn attempt_refit(
     }));
     match caught {
         Ok(outcome) => outcome,
-        // cae-lint: allow(H1) — failure-path string on the refit worker
-        // thread, never on the serving thread.
         Err(_) => Err("re-fit worker panicked".to_string()),
     }
 }
@@ -358,12 +354,8 @@ fn attempt_refit(
 /// it. That is a failed re-fit, and it is not retried: the re-fit is
 /// deterministic.
 fn finite_baseline(scores: Vec<f32>) -> Result<Vec<f32>, String> {
-    // cae-lint: allow(H1) — once per completed re-fit (rare), on the
-    // worker thread; the band re-calibration consumes it.
     let finite: Vec<f32> = scores.into_iter().filter(|s| s.is_finite()).collect();
     if finite.is_empty() {
-        // cae-lint: allow(H1) — failure-path string on the refit worker
-        // thread, never on the serving thread.
         return Err("re-fit diverged: no finite score".to_string());
     }
     Ok(finite)
@@ -658,8 +650,6 @@ impl AdaptationController {
             reason = "the off-thread re-fit is the adaptation tier's sanctioned spawn"
         )]
         let spawned = std::thread::Builder::new()
-            // cae-lint: allow(H1) — once per refit launch (rare by the
-            // cooldown), amortized against an entire training run.
             .name("cae-adapt-refit".to_string())
             .spawn(move || {
                 let _timer = refit_timer.0.start(&refit_timer.1);

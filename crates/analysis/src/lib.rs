@@ -13,8 +13,12 @@
 //!
 //! It keeps only what clippy cannot check: U2 (intrinsics confined to
 //! the kernel modules), U3 (no `transmute`, `static mut` or
-//! `mem::uninitialized`), C2 (no locks in pool jobs) and the flow rules
-//! A1, W1, F1 and H1. `// SAFETY:` notes and thread-spawn sites are
+//! `mem::uninitialized`), C2 (no locks in pool jobs), H1 (no wall clock
+//! in the serving, scoring and durability crates outside the `ObsClock`
+//! seam) and the flow rules A1, W1 and F1. That serving allocates
+//! nothing at steady state is not a lint: a counting-allocator test
+//! (`crates/serve/tests/steady_state_allocs.rs`) proves it at runtime.
+//! `// SAFETY:` notes and thread-spawn sites are
 //! checked by clippy's `undocumented_unsafe_blocks`, `missing_safety_doc`
 //! and `disallowed_methods`, configured in the root `Cargo.toml` and
 //! `clippy.toml`. Panic-free serving, adaptation and recovery code is
@@ -111,13 +115,6 @@ pub fn analyze_file(root: &Path, file: &Path) -> std::io::Result<FileAnalysis> {
     Ok(analyze_source(&rel, &src))
 }
 
-/// Both passes over a set of files on disk, analyzed as one workspace —
-/// the flow rules see a symbol graph spanning all of them.
-pub fn lint_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
-    let analyses = analyze_files(root, files)?;
-    Ok(finish(&analyses))
-}
-
 /// Pass 1 over a set of files on disk, in order.
 pub fn analyze_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<FileAnalysis>> {
     files.iter().map(|f| analyze_file(root, f)).collect()
@@ -126,7 +123,7 @@ pub fn analyze_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<File
 /// Lints one file on disk as a one-file workspace (cross-file flow-rule
 /// context is limited to that file).
 pub fn lint_file(root: &Path, file: &Path) -> std::io::Result<Vec<Finding>> {
-    lint_files(root, std::slice::from_ref(&file.to_path_buf()))
+    Ok(finish(&[analyze_file(root, file)?]))
 }
 
 /// Serializes findings as the stable JSON document the CI gate and the

@@ -114,7 +114,7 @@ fn main() -> ExitCode {
     };
 
     // Pass 1 over every file, then pass 2 once over the union so the
-    // flow rules (A1, W1, F1, H1) see the whole symbol graph.
+    // flow rules (A1, W1, F1) see the whole symbol graph.
     let analyses = match analyze_files(&root, &files) {
         Ok(a) => a,
         Err(e) => {

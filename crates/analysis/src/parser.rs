@@ -8,9 +8,8 @@
 //!   inline module, span and `#[cfg(test)]`-ness;
 //! * the rule-relevant *sites* inside each body — call sites (the
 //!   call-edge approximation the symbol graph resolves), atomic
-//!   operations with their `Ordering` argument, thread spawns, heap
-//!   allocations, wall-clock reads, durability I/O
-//!   (`write_all`/`sync_all`/`sync_data`/`rename`), and unguarded
+//!   operations with their `Ordering` argument, thread spawns, durability
+//!   I/O (`write_all`/`sync_all`/`sync_data`/`rename`), and unguarded
 //!   `as usize` slice indexing for the wire-safety rule.
 //!
 //! Robustness contract (pinned by `tests/parser_robustness.rs`): parsing
@@ -130,19 +129,13 @@ pub struct IoSite {
     pub line: usize,
 }
 
-/// Everything rule-relevant found inside one fn body (or, for
-/// [`orphan_sites`], outside every fn body).
+/// Everything rule-relevant found inside one fn body.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Sites {
     pub calls: Vec<CallSite>,
     pub atomics: Vec<AtomicSite>,
     /// Lines of `…::spawn(`/`….spawn(` calls.
     pub spawns: Vec<usize>,
-    /// Heap-allocation sites (`vec!`, `format!`, `Vec::with_capacity`,
-    /// `.to_vec()`, `.collect()`, `Box::new`, `String::from`, …).
-    pub allocs: Vec<Site>,
-    /// `Instant` / `SystemTime` tokens.
-    pub wall_clock: Vec<Site>,
     pub io: Vec<IoSite>,
     /// `as usize` casts (or values let-bound from one) used as a slice
     /// index without a preceding bounds guard — the W1 raw material.
@@ -182,14 +175,6 @@ pub fn parse(lexed: &Lexed<'_>) -> Vec<FnItem> {
     p.items(0, end, &root);
     p.fns.sort_by_key(|f| f.span.0);
     p.fns
-}
-
-/// Sites outside every fn body: const/static initializers and other
-/// item-level expression positions. Flow rules treat these as always
-/// live in their file's scope (there is no reachability to compute).
-pub fn orphan_sites(lexed: &Lexed<'_>, fns: &[FnItem]) -> Sites {
-    let spans: Vec<(usize, usize)> = fns.iter().map(|f| f.span).collect();
-    collect_sites(&lexed.tokens, 0, lexed.tokens.len(), &spans)
 }
 
 #[derive(Clone)]
@@ -483,10 +468,6 @@ impl<'a> SiteScan<'_, 'a> {
             "]" => {
                 self.brackets.pop();
             }
-            "Instant" | "SystemTime" => self.sites.wall_clock.push(Site {
-                what: t.text.to_string(),
-                line: t.line,
-            }),
             "as" if self.text(i + 1) == "usize" => self.cast_site(i),
             _ if t.is_ident() && !is_keyword(t.text) => self.ident_site(i),
             _ => {}
@@ -500,14 +481,8 @@ impl<'a> SiteScan<'_, 'a> {
         let nx = self.text(i + 1);
         let nx2 = self.text(i + 2);
 
-        // Macro sites.
+        // A macro invocation is neither a guard, an index use nor a call.
         if nx == "!" && matches!(nx2, "(" | "[" | "{") {
-            if matches!(name, "vec" | "format") {
-                self.sites.allocs.push(Site {
-                    what: format!("{name}!"),
-                    line,
-                });
-            }
             return;
         }
 
@@ -566,22 +541,6 @@ impl<'a> SiteScan<'_, 'a> {
                     line,
                 });
             }
-        }
-        let alloc = (method
-            && matches!(
-                name,
-                "to_vec" | "to_owned" | "to_string" | "collect" | "into_vec"
-            ))
-            || name == "with_capacity"
-            || (qual == Some("Box") && name == "new")
-            || (qual == Some("String") && name == "from")
-            || (qual == Some("Vec") && name == "from");
-        if alloc {
-            let what = match qual {
-                Some(q) => format!("{q}::{name}"),
-                None => format!(".{name}"),
-            };
-            self.sites.allocs.push(Site { what, line });
         }
         let io_op = match name {
             "write_all" if method => Some(IoOp::Write),
@@ -827,7 +786,7 @@ mod wire {
     }
 
     #[test]
-    fn io_alloc_spawn_and_panic_sites_are_recorded() {
+    fn io_spawn_and_panic_sites_are_recorded() {
         let fns = parse_src(
             "fn f(p: &Path) -> Result<(), E> {\n\
                  let mut file = File::create(p)?;\n\
@@ -845,7 +804,6 @@ mod wire {
         let s = &fns[0].sites;
         let ops: Vec<IoOp> = s.io.iter().map(|io| io.op).collect();
         assert_eq!(ops, vec![IoOp::Write, IoOp::SyncAll, IoOp::Rename]);
-        assert_eq!(s.allocs.len(), 2);
         assert_eq!(s.spawns.len(), 1);
         // Lock and panic sites are plain method-call sites: C2 scans its
         // locks token by token, and clippy checks the panics.
@@ -856,16 +814,6 @@ mod wire {
                 s.calls
             );
         }
-    }
-
-    #[test]
-    fn orphan_sites_cover_item_level_expressions() {
-        let lexed = lex("struct S {\n    started: Instant,\n}\n\
-             fn fine() -> Option<u32> { let t = Instant::now(); None }\n");
-        let fns = parse(&lexed);
-        let orphans = orphan_sites(&lexed, &fns);
-        assert_eq!(orphans.wall_clock.len(), 1);
-        assert_eq!(orphans.wall_clock[0].line, 2);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Pass-2 flow rules: A1, W1, F1 and H1.
+//! Pass-2 flow rules: A1, W1 and F1.
 //!
 //! These run over the whole-workspace [`SymbolGraph`] after every file
 //! has been analyzed, so they can reason about properties a per-file
 //! token walk cannot see: which functions a spawn's closure transitively
-//! runs (A1), whether a `rename` has a `sync_all` anywhere on its write
-//! path (F1), and which fns are reachable from the scoring entry points
-//! (H1).
+//! runs (A1), and whether a `rename` has a `sync_all` anywhere on its
+//! write path (F1).
 
-use super::{is_hot_scope, is_reader_path, is_test_path, FileAnalysis, Finding};
+use super::{is_reader_path, is_test_path, FileAnalysis, Finding};
 use crate::graph::SymbolGraph;
 use crate::parser::{FnItem, IoOp};
 
@@ -16,10 +15,10 @@ use crate::parser::{FnItem, IoOp};
 /// memory is published through them, so no ordering is required.
 ///
 /// * `par.rs / spawned`: worker-thread count, read only for diagnostics
-///   (`active_workers`); the pool's handshake is `finished` (AcqRel).
+///   (`pool_threads_spawned`); the pool's handshake is `holders` (AcqRel).
 /// * `par.rs / next`: the work-stealing cursor; it only partitions
 ///   indices between workers, every slot is written before the
-///   `finished` AcqRel handshake that publishes the results.
+///   `holders` AcqRel handshake that publishes the results.
 /// * `registry.rs / cell`: the metric cells behind `Counter::add` and
 ///   `Gauge::set` — monotone counts and last-write-wins gauge bits.
 ///   Readers (`value`, `snapshot`) tolerate any interleaving; nothing
@@ -35,30 +34,11 @@ const A1_PURE_COUNTERS: &[(&str, &str)] = &[
     ("crates/obs/src/registry.rs", "max"),
 ];
 
-/// Entry points whose transitive callees form the scoring hot path:
-/// per-observation work where a heap allocation or wall-clock read is a
-/// latency/determinism bug. `(impl type, fn name)`.
-const H1_SCORING_ENTRIES: &[(&str, &str)] = &[
-    ("FleetDetector", "push"),
-    ("FleetDetector", "tick"),
-    ("StreamingDetector", "push"),
-];
-
-/// Additional entries audited for wall-clock reads only: the adaptation
-/// observe/poll path runs on the serving thread per observation, but its
-/// refit machinery allocates by design, so allocations are exempt there.
-const H1_CLOCK_ENTRIES: &[(&str, &str)] = &[
-    ("AdaptationController", "observe"),
-    ("AdaptationController", "poll"),
-    ("AdaptationController", "wait"),
-];
-
 /// Runs every flow rule; findings are appended pre-allow-filtering.
 pub fn run(files: &[FileAnalysis], graph: &SymbolGraph, findings: &mut Vec<Finding>) {
     rule_a1_atomic_ordering(files, graph, findings);
     rule_w1_wire_safety(files, findings);
     rule_f1_durability_ordering(files, graph, findings);
-    rule_h1_hot_path_hygiene(files, graph, findings);
 }
 
 fn fn_of<'a>(
@@ -167,12 +147,12 @@ fn rule_w1_wire_safety(files: &[FileAnalysis], findings: &mut Vec<Finding>) {
         if !is_reader_path(&f.scope_path) || is_test_path(&f.scope_path) {
             continue;
         }
-        let fn_sites = f
+        let sites = f
             .fns
             .iter()
             .filter(|item| !item.is_test)
             .flat_map(|item| item.sites.wire_casts.iter());
-        for c in fn_sites.chain(f.orphans.wire_casts.iter()) {
+        for c in sites {
             findings.push(Finding {
                 rule: "W1",
                 path: f.path.clone(),
@@ -235,109 +215,6 @@ fn rule_f1_durability_ordering(
                     message: "`rename` on a write path with no `sync_all`/`sync_data` before it: a crash can persist the rename but not the written data (torn checkpoint); fsync the temp file first".to_string(),
                 });
             }
-        }
-    }
-}
-
-/// H1: hot-path hygiene. Heap allocations are findings in serving-tier
-/// fns (cae-serve, cae-adapt) reachable from the scoring entry points
-/// ([`H1_SCORING_ENTRIES`]) — that is where a stray per-observation
-/// alloc shows up directly in tail latency, and the tier's discipline is
-/// retained buffers. The core/data layers amortize through the tensor
-/// scratch pool and their own retained buffers, and their cold surfaces
-/// (training epochs, dataset generators, error constructors) share the
-/// reachable set under this graph's over-approximation, so the alloc
-/// facet does not extend to them. Wall-clock reads are findings across
-/// the whole hot scope (serve/adapt/core/data/obs), additionally seeded
-/// from the adaptation observe/poll path ([`H1_CLOCK_ENTRIES`]) —
-/// determinism breaks no matter which layer reads the clock. One
-/// exception: the `ObsClock` seam ([`super::H1_SANCTIONED_CLOCK`]) is
-/// the sanctioned wall-clock location latency timers go through; its
-/// `Instant` usage is deliberate and mockable, so it alone is skipped.
-fn rule_h1_hot_path_hygiene(
-    files: &[FileAnalysis],
-    graph: &SymbolGraph,
-    findings: &mut Vec<Finding>,
-) {
-    let entry_ids = |entries: &[(&str, &str)]| -> Vec<usize> {
-        (0..graph.nodes.len())
-            .filter(|&id| {
-                if !is_live(files, graph, id) {
-                    return false;
-                }
-                let (_, item) = fn_of(files, graph, id);
-                entries
-                    .iter()
-                    .any(|(q, n)| item.qual.as_deref() == Some(*q) && item.name == *n)
-            })
-            .collect()
-    };
-    let scoring = graph.reachable(&entry_ids(H1_SCORING_ENTRIES));
-    let clock_extra = graph.reachable(&entry_ids(H1_CLOCK_ENTRIES));
-
-    for id in 0..graph.nodes.len() {
-        let (f, item) = fn_of(files, graph, id);
-        if !is_live(files, graph, id) || !is_hot_scope(&f.scope_path) {
-            continue;
-        }
-        let serving_tier = f.scope_path.starts_with("crates/serve/src/")
-            || f.scope_path.starts_with("crates/adapt/src/");
-        if scoring[id] && serving_tier {
-            for a in &item.sites.allocs {
-                findings.push(Finding {
-                    rule: "H1",
-                    path: f.path.clone(),
-                    line: a.line,
-                    message: format!(
-                        "heap allocation `{}` in a fn reachable from the scoring hot path (FleetDetector::push/tick, StreamingDetector::push): use the scratch pool or a retained buffer, or `// cae-lint: allow(H1)` with the amortization argument",
-                        a.what
-                    ),
-                });
-            }
-        }
-        if f.scope_path == super::H1_SANCTIONED_CLOCK {
-            // The ObsClock seam is the one sanctioned Instant location:
-            // hot paths reach it through `Histogram::start`/`now_ns`,
-            // and the convention is that *only* this file may hold the
-            // raw clock — a raw `Instant::now()` anywhere else in the
-            // hot scope still fires below.
-            continue;
-        }
-        if scoring[id] || clock_extra[id] {
-            for w in &item.sites.wall_clock {
-                findings.push(Finding {
-                    rule: "H1",
-                    path: f.path.clone(),
-                    line: w.line,
-                    message: format!(
-                        "`{}` in a fn reachable from the serving hot path: wall-clock reads break deterministic replay; thread timestamps in from the caller",
-                        w.what
-                    ),
-                });
-            }
-        }
-    }
-    // Item-level wall-clock state in hot-scope files (e.g. an `Instant`
-    // struct field) is flagged unconditionally, as D1 did.
-    for f in files {
-        if !is_hot_scope(&f.scope_path) || is_test_path(&f.scope_path) {
-            continue;
-        }
-        if !f.scope_path.starts_with("crates/serve/src/")
-            && !f.scope_path.starts_with("crates/adapt/src/")
-        {
-            continue;
-        }
-        for w in &f.orphans.wall_clock {
-            findings.push(Finding {
-                rule: "H1",
-                path: f.path.clone(),
-                line: w.line,
-                message: format!(
-                    "`{}` in serving-tier item state: wall-clock values in hot-path state break deterministic replay",
-                    w.what
-                ),
-            });
         }
     }
 }

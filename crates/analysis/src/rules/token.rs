@@ -1,4 +1,4 @@
-//! Pass-1 token rules: U2, U3, C2.
+//! Pass-1 token rules: U2, U3, C2, H1.
 //!
 //! These need no cross-file context — they fire on token patterns alone
 //! — so they run per file during [`super::analyze_source`]. The flow
@@ -7,7 +7,7 @@
 //! `missing_safety_doc`, `disallowed_methods`; see the root
 //! `clippy.toml`).
 
-use super::{is_intrinsics_sanctioned, is_test_path, Finding};
+use super::{is_hot_scope, is_intrinsics_sanctioned, is_test_path, Finding, H1_SANCTIONED_CLOCK};
 use crate::lexer::Lexed;
 
 /// Runs every token rule over one lexed file.
@@ -15,6 +15,7 @@ pub fn run(lexed: &Lexed<'_>, scope_path: &str, path: &str, findings: &mut Vec<F
     rule_u2_intrinsics_confined(lexed, scope_path, path, findings);
     rule_u3_forbidden_constructs(lexed, path, findings);
     rule_c2_locks_in_pool_jobs(lexed, scope_path, path, findings);
+    rule_h1_wall_clock(lexed, scope_path, path, findings);
 }
 
 /// U2: SIMD intrinsics and `core::arch`/`std::arch` imports are confined
@@ -141,5 +142,36 @@ fn rule_c2_locks_in_pool_jobs(
             }
         }
         i = j + 1;
+    }
+}
+
+/// H1: no `Instant` or `SystemTime` token in the hot scope outside the
+/// `ObsClock` seam. Wall-clock reads break deterministic replay in
+/// whichever layer makes them, so every token counts, reachable from a
+/// scoring entry or not. That the serving paths allocate nothing is a
+/// runtime test (`crates/serve/tests/steady_state_allocs.rs`).
+fn rule_h1_wall_clock(
+    lexed: &Lexed<'_>,
+    scope_path: &str,
+    path: &str,
+    findings: &mut Vec<Finding>,
+) {
+    if !is_hot_scope(scope_path) || scope_path == H1_SANCTIONED_CLOCK {
+        return;
+    }
+    for t in lexed
+        .tokens
+        .iter()
+        .filter(|t| matches!(t.text, "Instant" | "SystemTime"))
+    {
+        findings.push(Finding {
+            rule: "H1",
+            path: path.to_string(),
+            line: t.line,
+            message: format!(
+                "`{}` in serving, scoring or durability code: wall-clock reads break deterministic replay; thread timestamps in from the caller or time through `ObsClock`",
+                t.text
+            ),
+        });
     }
 }

@@ -1,8 +1,8 @@
 // cae-lint: path=crates/obs/src/clock.rs
 //! The sanctioned wall-clock seam: `Instant` reads in
-//! `crates/obs/src/clock.rs` are reachable from the scoring entries via
-//! `Histogram::start → ObsClock::now_ns`, yet H1 stays quiet — this file
-//! alone holds the raw clock, by convention. The negative control
+//! `crates/obs/src/clock.rs` back every latency timer of the hot paths
+//! (`Histogram::start → ObsClock::now_ns`), yet H1 stays quiet — this
+//! file alone holds the raw clock. The negative control
 //! (`h1_obs_clock_raw.rs`) proves the same shape fires anywhere else.
 
 impl FleetDetector {

@@ -1,7 +1,7 @@
 // cae-lint: path=crates/serve/src/lib.rs
-//! Negative control for the ObsClock sanction: the same scoring-reachable
-//! `Instant` read *outside* `crates/obs/src/clock.rs` still fires H1 —
-//! the sanction is one file, not a blanket allow.
+//! Negative control for the ObsClock sanction: the same `Instant` read
+//! *outside* `crates/obs/src/clock.rs` still fires H1 — the sanction is
+//! one file, not a blanket allow.
 
 impl FleetDetector {
     pub fn push(&mut self, sample: &[f32]) {

@@ -49,12 +49,12 @@ fn each_rule_fires_at_its_seeded_line() {
     assert_eq!(lint("a1_relaxed_publish.rs"), [("A1", 8)]);
     assert_eq!(lint("w1_unguarded_cast.rs"), [("W1", 8), ("W1", 13)]);
     assert_eq!(lint("f1_rename_no_sync.rs"), [("F1", 9)]);
-    assert_eq!(lint("h1_hot_path_alloc.rs"), [("H1", 12), ("H1", 18)]);
     assert_eq!(lint("h1_obs_clock_raw.rs"), [("H1", 13)]);
+    assert_eq!(lint("h1_clock_unreached.rs"), [("H1", 6)]);
 }
 
 /// The ObsClock seam (`crates/obs/src/clock.rs`) is the one sanctioned
-/// wall-clock location on hot paths; the raw-`Instant` twin fixture
+/// wall-clock location in the hot scope; the raw-`Instant` twin fixture
 /// above pins that the sanction does not leak past that file.
 #[test]
 fn h1_obs_clock_seam_is_sanctioned() {

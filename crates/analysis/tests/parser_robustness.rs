@@ -63,10 +63,8 @@ fn check(src: &str, what: &str) -> String {
         assert!(!f.name.is_empty(), "{what}: unnamed fn item");
         let site_lines = f
             .sites
-            .allocs
+            .wire_casts
             .iter()
-            .chain(&f.sites.wall_clock)
-            .chain(&f.sites.wire_casts)
             .map(|s| s.line)
             .chain(f.sites.spawns.iter().copied())
             .chain(f.sites.calls.iter().map(|c| c.line));
@@ -83,8 +81,7 @@ fn check(src: &str, what: &str) -> String {
             "{what}: items out of source order"
         );
     }
-    let orphans = parser::orphan_sites(&lexed, &fns);
-    format!("{fns:?}|{orphans:?}")
+    format!("{fns:?}")
 }
 
 fn corpus() -> Vec<(String, String)> {

@@ -93,9 +93,11 @@ pub enum Op {
 ///
 /// Dropping or [`clear`](Tape::clear)ing a tape recycles every node's
 /// storage into the thread-local scratch pool of `cae-tensor`, so the next
-/// forward/backward pass (on this tape or a fresh one) reallocates nothing.
-/// Hot loops should still prefer reusing one tape via `clear()` — that
-/// also keeps the arena vectors themselves warm.
+/// forward/backward pass (on this tape or a fresh one) takes most of its
+/// buffers from the pool. A training-size tape holds more buffers than
+/// the pool keeps, so a step still allocates (README "Scratch-buffer
+/// reuse" has the count). Hot loops should still prefer reusing one tape
+/// via `clear()` — that also keeps the arena vectors themselves warm.
 pub struct Tape {
     pub(crate) values: Vec<Tensor>,
     pub(crate) ops: Vec<Op>,

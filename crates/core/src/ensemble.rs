@@ -168,10 +168,10 @@ impl CaeEnsemble {
 
     /// Copies the windows starting at `starts` into a `(B, w, D)` batch.
     ///
-    /// The batch buffer comes from the thread-local [`scratch`] pool —
-    /// every caller recycles the batch after its forward pass, so the
-    /// per-epoch hot loop stays allocation-free at steady state like the
-    /// rest of the training path.
+    /// The batch buffer comes from the thread-local [`scratch`] pool, and
+    /// every caller recycles the batch after its forward pass. (The rest
+    /// of a training step still allocates: see README "Scratch-buffer
+    /// reuse".)
     pub(crate) fn gather_windows(series: &TimeSeries, starts: &[usize], w: usize) -> Tensor {
         let d = series.dim();
         let mut data = scratch::take(starts.len() * w * d);
@@ -340,6 +340,7 @@ impl CaeEnsemble {
             }
             members.push((model, store));
         }
+        scratch::clear();
         (members, loss_trace)
     }
 

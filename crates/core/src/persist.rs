@@ -47,7 +47,7 @@ use cae_autograd::ParamStore;
 use cae_chaos as chaos;
 use cae_data::Scaler;
 use cae_nn::Activation;
-use cae_tensor::Tensor;
+use cae_tensor::{Shape, Tensor};
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -703,7 +703,7 @@ pub(crate) fn decode_ensemble(buf: &[u8]) -> Result<EnsembleParts, PersistError>
         for _ in 0..num_params {
             let name = c.string("parameter name")?;
             let rank = c.usize("parameter rank")?;
-            if rank > 8 {
+            if rank > Shape::MAX_RANK {
                 return Err(PersistError::Corrupt(format!(
                     "parameter '{name}' has implausible rank {rank}"
                 )));
@@ -938,6 +938,26 @@ mod tests {
         assert!(matches!(
             decode_ensemble(&buf),
             Err(PersistError::Corrupt(why)) if why.contains("parameter footprint")
+        ));
+    }
+
+    #[test]
+    fn rank_above_the_tensor_maximum_is_corrupt() {
+        // Pad the first parameter's dims with ones up to rank 5: the
+        // element count and the values stay valid, only the rank is not.
+        let ens = fitted(ReconstructionTarget::Embedded, true);
+        let (name, value) = ens.members()[0].1.iter().next().expect("a parameter");
+        let mut buf = encode(&ens);
+        let at = buf.windows(name.len()).position(|w| w == name.as_bytes());
+        let at = at.expect("name on the wire") + name.len();
+        buf[at..at + 8].copy_from_slice(&5u64.to_le_bytes());
+        let dims_end = at + 8 + 8 * value.rank();
+        let pad = (value.rank()..5).flat_map(|_| 1u64.to_le_bytes());
+        buf.splice(dims_end..dims_end, pad);
+        rechecksum(&mut buf);
+        assert!(matches!(
+            decode_ensemble(&buf),
+            Err(PersistError::Corrupt(why)) if why.contains("implausible rank 5")
         ));
     }
 

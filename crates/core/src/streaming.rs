@@ -10,17 +10,17 @@
 use crate::CaeEnsemble;
 use cae_autograd::Tape;
 use cae_tensor::Tensor;
-use std::collections::VecDeque;
 
 /// Wraps a trained [`CaeEnsemble`] with a ring buffer of the last `w`
 /// observations for per-observation scoring.
 ///
 /// Scoring is allocation-free at steady state, like the batch path: the
-/// ring recycles each evicted observation's storage for the incoming one,
-/// the `(1, w, dim)` window tensor is a pooled buffer reused across
-/// pushes (re-filled and re-scaled in place via
+/// ring of raw observations and the `(1, w, dim)` window tensor are
+/// retained and re-filled in place (the window re-scaled via
 /// [`cae_data::Scaler::apply_in_place`]), and the members run the
 /// tape-free forward ([`crate::Cae::infer`]) on scratch-pool buffers.
+/// `crates/serve/tests/steady_state_allocs.rs` counts every allocation
+/// of 100 warm pushes, at pools 1 and 2, and requires zero.
 ///
 /// This scores one stream at a time, `B = 1` forwards per observation.
 /// To serve many concurrent streams against one loaded ensemble, use the
@@ -28,7 +28,10 @@ use std::collections::VecDeque;
 /// batch per tick via [`CaeEnsemble::score_scaled_windows_into`].
 pub struct StreamingDetector<'a> {
     ensemble: &'a CaeEnsemble,
-    buffer: VecDeque<Vec<f32>>,
+    /// The last `w` raw observations, oldest first; the last `filled`
+    /// of them have been pushed since the start or the last reset.
+    ring: Vec<f32>,
+    filled: usize,
     /// Reused `(1, w, dim)` window tensor.
     window_buf: Tensor,
     /// Reused one-score output buffer.
@@ -39,7 +42,7 @@ impl std::fmt::Debug for StreamingDetector<'_> {
     /// Fill level only — the ensemble summarizes poorly.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingDetector")
-            .field("buffered", &self.buffer.len())
+            .field("buffered", &self.filled)
             .finish_non_exhaustive()
     }
 }
@@ -54,7 +57,8 @@ impl<'a> StreamingDetector<'a> {
         let (w, dim) = (ensemble.model_config().window, ensemble.model_config().dim);
         StreamingDetector {
             ensemble,
-            buffer: VecDeque::with_capacity(w),
+            ring: vec![0.0; w * dim],
+            filled: 0,
             window_buf: Tensor::zeros_pooled(&[1, w, dim]),
             score_buf: Vec::with_capacity(1),
         }
@@ -67,7 +71,7 @@ impl<'a> StreamingDetector<'a> {
 
     /// Number of observations buffered so far (saturates at `w`).
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.filled
     }
 
     /// Feeds one observation; returns its outlier score once `w`
@@ -85,29 +89,21 @@ impl<'a> StreamingDetector<'a> {
             "observation dim {} != model dim {dim}",
             observation.len()
         );
-        let w = self.window();
-        // Recycle the evicted observation's storage for the incoming one.
-        let mut slot = if self.buffer.len() == w {
-            self.buffer.pop_front().expect("non-empty ring")
-        } else {
-            vec![0.0; dim]
-        };
-        slot.copy_from_slice(observation);
-        self.buffer.push_back(slot);
-        if self.buffer.len() < w {
+        // Shift the oldest observation out and append the new one.
+        self.ring.copy_within(dim.., 0);
+        let newest = self.ring.len() - dim;
+        self.ring[newest..].copy_from_slice(observation);
+        self.filled = (self.filled + 1).min(self.window());
+        if self.filled < self.window() {
             return None;
         }
 
-        // Assemble the window into the pooled tensor and standardize it
-        // in place with the training scaler.
-        {
-            let data = self.window_buf.data_mut();
-            for (t, obs) in self.buffer.iter().enumerate() {
-                data[t * dim..(t + 1) * dim].copy_from_slice(obs);
-            }
-            if let Some(s) = self.ensemble.scaler() {
-                s.apply_in_place(data);
-            }
+        // Copy the window into the pooled tensor and standardize it in
+        // place with the training scaler.
+        let data = self.window_buf.data_mut();
+        data.copy_from_slice(&self.ring);
+        if let Some(s) = self.ensemble.scaler() {
+            s.apply_in_place(data);
         }
 
         // Median across members of the last position's error — the shared
@@ -123,7 +119,7 @@ impl<'a> StreamingDetector<'a> {
 
     /// Clears the warm-up buffer (e.g. after a stream gap).
     pub fn reset(&mut self) {
-        self.buffer.clear();
+        self.filled = 0;
     }
 }
 

@@ -1,11 +1,10 @@
 //! The injectable time source behind every latency measurement.
 //!
 //! This module is the **one sanctioned wall-clock location** in the hot
-//! scope: cae-lint's H1 rule exempts `crates/obs/src/clock.rs` by path,
-//! so serving-tier code times itself by calling through [`ObsClock`]
-//! (usually via [`crate::Histogram::start`]) instead of sprinkling
-//! `Instant::now()` behind `allow(H1)` comments. Raw `Instant` /
-//! `SystemTime` reads anywhere else on a hot path still fire H1.
+//! scope: cae-lint's H1 rule flags every `Instant` or `SystemTime` token
+//! in `crates/{serve,adapt,core,data,obs}/src` except in
+//! `crates/obs/src/clock.rs`, so those crates time themselves by calling
+//! through [`ObsClock`] (usually via [`crate::Histogram::start`]).
 //!
 //! Two sources:
 //!

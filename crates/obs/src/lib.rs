@@ -23,8 +23,8 @@
 //!   tests).
 //! * [`ObsClock`] — the injectable monotonic/mock time source.
 //!   `crates/obs/src/clock.rs` is the one wall-clock location cae-lint
-//!   H1 sanctions on hot paths; everything else times itself through
-//!   it.
+//!   H1 sanctions in the serving, scoring and durability crates;
+//!   everything else there times itself through it.
 //!
 //! The serving (`cae-serve`), adaptation (`cae-adapt`), durability
 //! (`cae-data::journal`) and kernel (`cae-tensor::obs`) tiers accept a

@@ -394,7 +394,8 @@ impl ServeObs {
 /// ensemble members at full batch width. Ticks are allocation-free at
 /// steady state: ring storage is retained per stream, batch buffers come
 /// from the thread-local scratch pool, as do the tape-free forward's
-/// activations.
+/// activations. `crates/serve/tests/steady_state_allocs.rs` counts every
+/// allocation of 100 warm ticks, at pools 1 and 2, and requires zero.
 ///
 /// The serving model is [swappable](FleetDetector::swap_ensemble): the
 /// fleet owns an [`Arc<CaeEnsemble>`] pair — the live model and the most
@@ -626,9 +627,6 @@ impl FleetDetector {
                 self.slots.push(StreamSlot {
                     generation,
                     active: true,
-                    // cae-lint: allow(H1) — one-time per stream
-                    // registration, not per observation; the ring is the
-                    // retained buffer every later push reuses.
                     ring: vec![0.0; self.window * self.dim],
                     head: 0,
                     filled: 0,
@@ -637,7 +635,6 @@ impl FleetDetector {
                     consecutive_faults: 0,
                     flat_run: 0,
                     probe_goods: 0,
-                    // cae-lint: allow(H1) — same amortization as `ring`.
                     prev: vec![0.0; self.dim],
                     has_prev: false,
                 });

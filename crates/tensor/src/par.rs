@@ -15,13 +15,17 @@
 //!   The submitting thread publishes the job, wakes any parked workers,
 //!   and then participates in the work itself, so a pool with `n`
 //!   configured threads uses `n - 1` workers plus the caller.
-//! * Tasks are claimed with an atomic counter, executed, and counted; the
-//!   submitter returns once every task has finished. Worker panics are
-//!   caught, counted as completion, and re-raised on the submitting thread.
+//! * Tasks are claimed with an atomic counter and executed. The job lives
+//!   on the submitter's stack, so a dispatch allocates nothing: workers
+//!   take it from the pool's slot under the lock, counted as holders, and
+//!   release it once they find no task left. The submitter closes the
+//!   slot after its own share and returns once no worker holds the job,
+//!   which also means every task has finished. Worker panics are caught
+//!   and re-raised on the submitting thread.
 //! * A worker that has drained a job does not park at once: it spins on an
 //!   atomic copy of the job generation for [`SPIN_WINDOW`] and only then
 //!   parks on the condition variable. Likewise the submitter, after its
-//!   own share, spins on the job's finished count for the same window
+//!   own share, spins on the job's holder count for the same window
 //!   before it waits. A training step submits jobs of a few tens of
 //!   microseconds back to back, and waking a parked thread costs about as
 //!   much (9–25 µs measured on a 2-vCPU VM, up to ~57 µs after an idle
@@ -59,7 +63,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 static THREADS: AtomicUsize = AtomicUsize::new(1);
@@ -150,7 +154,7 @@ pub fn pool_threads_spawned() -> usize {
 /// Lifetime- and type-erased pointer to the job closure: a thin data
 /// pointer plus a monomorphized trampoline that casts it back. The
 /// submitter guarantees the referent outlives the job (it blocks until
-/// every task has finished), so handing the pointer to workers is sound.
+/// no worker holds the job), so handing the pointer to workers is sound.
 /// Erasing through a raw pointer (rather than a transmuted `&'static`)
 /// keeps the lifetime laundering visible: every use goes through
 /// [`TaskPtr::call`], whose safety contract states the liveness
@@ -163,7 +167,7 @@ struct TaskPtr {
 
 // SAFETY: the pointee is `Sync` (the `F: Sync` bound on `erase` permits
 // concurrent `&`-calls from any thread) and the submitting thread blocks
-// in `run_tasks` until every task has finished, so no thread can observe
+// in `run_tasks` until no worker holds the job, so no thread can observe
 // the pointer after the referent's borrow ends.
 unsafe impl Send for TaskPtr {}
 // SAFETY: same argument — sharing the pointer only enables shared calls
@@ -173,7 +177,7 @@ unsafe impl Sync for TaskPtr {}
 impl TaskPtr {
     /// Erases the closure's type and lifetime. Callers must not run the
     /// task after the original borrow ends — `run_tasks` enforces this by
-    /// blocking until the job's finished count reaches its total.
+    /// blocking until no worker holds the job.
     fn erase<F: Fn(usize) + Sync>(f: &F) -> Self {
         /// # Safety
         ///
@@ -194,9 +198,9 @@ impl TaskPtr {
     /// # Safety
     ///
     /// The closure passed to [`TaskPtr::erase`] must still be borrowed by
-    /// the submitter. This holds for every call issued while the owning
-    /// [`Job`] is published: the submitter keeps the closure alive until
-    /// `finished` reaches `total`, and tasks are only claimed before that.
+    /// the submitter. This holds for every call issued by the submitter
+    /// or a holder of the owning [`Job`]: the submitter keeps the closure
+    /// alive until `holders` falls to zero after the slot is closed.
     unsafe fn call(&self, i: usize) {
         // SAFETY: liveness is guaranteed by the caller contract above;
         // the referent is `Sync`, so concurrent shared calls are fine.
@@ -204,48 +208,56 @@ impl TaskPtr {
     }
 }
 
-/// One published job: `total` tasks executed via `task`.
+/// One job: `total` tasks executed via `task`. It lives on the
+/// submitter's stack in `run_tasks`; the pool's slot points at it while
+/// it is published.
 struct Job {
     task: TaskPtr,
     total: usize,
     /// Next unclaimed task index.
     next: AtomicUsize,
-    /// Number of finished tasks (monotonic up to `total`).
-    finished: AtomicUsize,
+    /// Workers that took the job from the slot and have not released it.
+    /// Raised under the pool lock while the job is published; lowered by
+    /// each worker as its last access to the job.
+    holders: AtomicUsize,
     /// Set when any task panicked; re-raised by the submitter.
     panicked: AtomicBool,
 }
 
 impl Job {
-    /// Claims and runs tasks until none remain. Returns whether this call
-    /// finished the last task of the job.
-    fn run(&self) -> bool {
-        let mut finished_last = false;
+    /// Claims and runs tasks until none remain.
+    fn run(&self) {
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.total {
-                return finished_last;
+                return;
             }
             let task = self.task;
-            // SAFETY: we claimed task `i` before `finished` reached
-            // `total`, so the job is still published and the submitter is
-            // still blocking with the closure borrowed.
+            // SAFETY: the caller is the submitter or a holder of the job,
+            // so the submitter is still blocking with the closure borrowed.
             if catch_unwind(AssertUnwindSafe(|| unsafe { task.call(i) })).is_err() {
-                // Release-pairs with the submitter's Acquire load after
-                // the `finished` handshake, so the panic verdict is
-                // ordered independently of that handshake.
+                // Release-pairs with the submitter's Acquire load, so the
+                // panic verdict is ordered independently of the holder
+                // handshake.
                 self.panicked.store(true, Ordering::Release);
             }
-            let done = self.finished.fetch_add(1, Ordering::AcqRel) + 1;
-            finished_last = done == self.total;
         }
     }
 }
 
+/// The published job, as the pool's slot holds it.
+#[derive(Clone, Copy)]
+struct JobPtr(*const Job);
+
+// SAFETY: a `Job` is `Sync` (atomics plus a `Sync` task pointer), and the
+// pointer is only dereferenced by workers that took it from the slot
+// under the lock, whose submitter waits for their release.
+unsafe impl Send for JobPtr {}
+
 struct PoolState {
     /// The job currently being executed, if any. A single slot: a
     /// submitter that finds it taken runs its job inline instead.
-    job: Option<Arc<Job>>,
+    job: Option<JobPtr>,
     /// Bumped on every publication so parked workers can tell a fresh job
     /// from the one they already drained.
     generation: u64,
@@ -265,7 +277,7 @@ struct Pool {
     published: AtomicU64,
     /// Signaled when a new job is published.
     work_cv: Condvar,
-    /// Signaled when a job completes.
+    /// Signaled when a job's last holder releases it.
     done_cv: Condvar,
     /// Lifetime count of spawned worker threads (see
     /// [`pool_threads_spawned`]).
@@ -290,18 +302,20 @@ fn pool() -> &'static Pool {
 }
 
 impl Pool {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.state.lock().expect("pool lock poisoned")
+    /// Locks the pool state, poisoned or not: nothing panics under the
+    /// lock, and a submitter must not unwind while workers hold its job.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Waits on `done_cv`, counted so notifiers can skip the wake-up when
     /// nobody waits.
-    fn wait_done<'a>(
-        &self,
-        mut st: std::sync::MutexGuard<'a, PoolState>,
-    ) -> std::sync::MutexGuard<'a, PoolState> {
+    fn wait_done<'a>(&self, mut st: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
         st.waiting += 1;
-        let mut st = self.done_cv.wait(st).expect("pool lock poisoned");
+        let mut st = self
+            .done_cv
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner);
         st.waiting -= 1;
         st
     }
@@ -315,9 +329,10 @@ thread_local! {
 }
 
 /// Worker main loop: spin (see [`spinning_pays`]) and then park until a
-/// fresh job generation appears, drain it, signal completion if we
-/// finished the last task, repeat forever. Worker `idx` is surplus, and
-/// parks without spinning, while `threads() - 1 <= idx`.
+/// fresh job generation appears, take the job, drain it, release it
+/// (waking the submitter if it parked and this was the last holder),
+/// repeat forever. Worker `idx` is surplus, and parks without spinning,
+/// while `threads() - 1 <= idx`.
 fn worker_loop(pool: &'static Pool, idx: usize) {
     IN_POOL.with(|f| f.set(true));
     let mut seen_generation = 0u64;
@@ -334,18 +349,37 @@ fn worker_loop(pool: &'static Pool, idx: usize) {
             loop {
                 if st.generation != seen_generation {
                     seen_generation = st.generation;
-                    // `None` when the job finished before this worker got
+                    // `None` when the slot closed before this worker got
                     // to it: go back to spinning for the next one.
-                    break st.job.clone();
+                    if let Some(JobPtr(job)) = st.job {
+                        // SAFETY: the slot is open, so its submitter is
+                        // still in `run_tasks`, and it closes the slot
+                        // under this lock before it waits for holders.
+                        unsafe { &*job }.holders.fetch_add(1, Ordering::AcqRel);
+                    }
+                    break st.job;
                 }
                 st.parked += 1;
-                st = pool.work_cv.wait(st).expect("pool lock poisoned");
+                st = pool
+                    .work_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
                 st.parked -= 1;
             }
         };
-        if job.is_some_and(|job| job.run()) {
-            // Last task of the job: wake the submitter if it parked.
-            // Reading `waiting` under the lock orders this check after the
+        let Some(JobPtr(job)) = job else {
+            continue;
+        };
+        // SAFETY: this worker holds the job, so its submitter stays in
+        // `run_tasks`, with the job alive, until the release below.
+        let job = unsafe { &*job };
+        job.run();
+        // The release is this worker's last access to the job (as in
+        // `Arc`'s drop): at zero the submitter may return. AcqRel-pairs
+        // with its Acquire load, publishing this worker's task writes.
+        if job.holders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // Last holder: wake the submitter if it parked. Reading
+            // `waiting` under the lock orders this check after the
             // submitter's check-then-wait.
             let st = pool.lock();
             if st.waiting > 0 {
@@ -385,6 +419,7 @@ fn ensure_workers(pool: &'static Pool, wanted: usize) {
 
 /// Executes `total` tasks on the pool with up to `workers` threads
 /// (including the calling thread), blocking until all have finished.
+/// Dispatch allocates nothing: the job lives on this stack frame.
 ///
 /// Falls back to a plain sequential loop when the pool would not help or
 /// is taken: one task, one configured thread, a nested call from inside a
@@ -400,13 +435,13 @@ fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
 
     let pool = pool();
     ensure_workers(pool, workers - 1);
-    let job = Arc::new(Job {
+    let job = Job {
         task: TaskPtr::erase(f),
         total,
         next: AtomicUsize::new(0),
-        finished: AtomicUsize::new(0),
+        holders: AtomicUsize::new(0),
         panicked: AtomicBool::new(false),
-    });
+    };
 
     let wake = {
         let mut st = pool.lock();
@@ -416,7 +451,7 @@ fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
             drop(st);
             return inline();
         }
-        st.job = Some(job.clone());
+        st.job = Some(JobPtr(&job));
         st.generation += 1;
         pool.published.store(st.generation, Ordering::Release);
         st.parked > 0
@@ -426,25 +461,27 @@ fn run_tasks<F: Fn(usize) + Sync>(total: usize, workers: usize, f: &F) {
         pool.work_cv.notify_all();
     }
 
-    // Participate: the submitter is one of the `workers` threads. (No
-    // completion signal needed from this side — the wait below re-checks
-    // the finished count under the lock.)
+    // Participate: the submitter is one of the `workers` threads. Nothing
+    // from here to the wait can unwind (`Job::run` catches task panics,
+    // the lock ignores poisoning), so the job outlives every holder.
     IN_POOL.with(|g| g.set(true));
     job.run();
     IN_POOL.with(|g| g.set(false));
 
-    // Acquire-pairs with the AcqRel increments in `Job::run`: once the
-    // count reaches `total`, every task's writes are visible here.
-    let all_done = || job.finished.load(Ordering::Acquire) >= total;
-    if !all_done() && spinning_pays(threads()) {
-        spin_until(all_done);
+    // Every task is claimed: close the slot, then wait for the holders.
+    // Acquire-pairs with each holder's AcqRel release: at zero, every
+    // task has finished, its writes are visible here, and no worker
+    // touches the job again (none can take it after the close).
+    pool.lock().job = None;
+    let released = || job.holders.load(Ordering::Acquire) == 0;
+    if !released() && spinning_pays(threads()) {
+        spin_until(released);
     }
-    {
+    if !released() {
         let mut st = pool.lock();
-        while !all_done() {
+        while !released() {
             st = pool.wait_done(st);
         }
-        st.job = None;
     }
     crate::obs::set_pool_queue_depth(0);
 
@@ -840,6 +877,24 @@ mod tests {
         let mismatch = (0..1000).find(|_| four_chunk_job() != reference);
         set_threads(1);
         assert_eq!(mismatch, None, "back-to-back job differs");
+    }
+
+    /// Jobs live on the submitter's stack, so no worker may touch one
+    /// after `run_tasks` returns. Each job's tasks count into stack state
+    /// the submitter checks and clears at once: a task still running, or
+    /// a late one, shows as a count other than one. (A late touch of the
+    /// job itself is what the TSan run of this test catches.)
+    #[test]
+    fn no_worker_touches_a_job_after_it_returns() {
+        let _gate = lock();
+        set_threads(2);
+        let hits: [AtomicUsize; 4] = Default::default();
+        let stale = (0..10_000).find(|_| {
+            for_each_index(4, |i| _ = hits[i].fetch_add(1, Ordering::Relaxed));
+            !hits.iter().all(|h| h.swap(0, Ordering::Relaxed) == 1)
+        });
+        set_threads(1);
+        assert_eq!(stale, None, "a task ran outside its job");
     }
 
     #[test]

@@ -4,47 +4,64 @@ use std::fmt;
 
 /// The dimensions of a [`crate::Tensor`], stored outermost-first.
 ///
-/// A `Shape` is a thin wrapper over a `Vec<usize>` adding the arithmetic
-/// every kernel needs (element counts, flat row-major indexing).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(Vec<usize>);
+/// A `Shape` holds up to [`Shape::MAX_RANK`] dimensions inline, so
+/// building a tensor never allocates for its dims, and adds the
+/// arithmetic every kernel needs (element counts, flat row-major
+/// indexing). The slots past the rank are always zero, so the derived
+/// `Eq` and `Hash` see only the dimensions.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Shape {
+    dims: [usize; Shape::MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
+    /// The highest rank a tensor may have. Every tensor the workspace
+    /// builds fits; a checkpoint that names a higher rank is rejected as
+    /// corrupt before it reaches [`Shape::new`].
+    pub const MAX_RANK: usize = 4;
+
     /// Creates a shape from dimension sizes.
     ///
     /// Zero-sized dimensions are permitted (the tensor is then empty).
+    /// Panics if there are more than [`Shape::MAX_RANK`] dimensions.
     pub fn new(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        assert!(
+            dims.len() <= Self::MAX_RANK,
+            "rank {} exceeds the maximum tensor rank {} (dims {dims:?})",
+            dims.len(),
+            Self::MAX_RANK
+        );
+        let mut inline = [0; Self::MAX_RANK];
+        inline[..dims.len()].copy_from_slice(dims);
+        Shape {
+            dims: inline,
+            rank: dims.len(),
+        }
     }
 
     /// The dimension sizes, outermost first.
     #[inline]
     pub fn dims(&self) -> &[usize] {
-        &self.0
+        &self.dims[..self.rank]
     }
 
     /// Number of dimensions (the tensor's rank).
     #[inline]
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Whether the shape contains zero elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Size of dimension `axis`. Panics if `axis >= rank`.
-    #[inline]
-    pub fn dim(&self, axis: usize) -> usize {
-        self.0[axis]
     }
 
     /// Flat row-major offset of a multi-index. Panics on out-of-range indices.
@@ -60,7 +77,7 @@ impl Shape {
         let mut stride = 1usize;
         for axis in (0..self.rank()).rev() {
             let i = index[axis];
-            let d = self.0[axis];
+            let d = self.dims[axis];
             assert!(
                 i < d,
                 "index {i} out of range for axis {axis} with size {d}"
@@ -74,37 +91,47 @@ impl Shape {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:?}", self.0)
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
-    }
-}
-
-impl<const N: usize> From<[usize; N]> for Shape {
-    fn from(dims: [usize; N]) -> Self {
-        Shape::new(&dims)
+        write!(f, "{:?}", self.dims())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Tensor;
 
     #[test]
     fn len_is_product_of_dims() {
         assert_eq!(Shape::new(&[2, 3, 4]).len(), 24);
         assert_eq!(Shape::new(&[5]).len(), 5);
         assert_eq!(Shape::new(&[]).len(), 1); // rank-0 scalar
+        assert_eq!(Shape::new(&[2, 3, 4, 5]).len(), 120); // MAX_RANK
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 exceeds the maximum tensor rank 4")]
+    fn rank_above_max_panics() {
+        Shape::new(&[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn equal_dims_are_equal_shapes_however_built() {
+        use std::hash::{BuildHasher, RandomState};
+        let h = RandomState::new();
+        // Cut from wider dims, or taken from a tensor: the unused inline
+        // slots must not leak into `Eq` or `Hash`.
+        let (a, b) = (
+            Shape::new(&[7, 3, 9, 9][..2]),
+            *Tensor::zeros(&[7, 3]).shape(),
+        );
+        assert!(a == b && h.hash_one(a) == h.hash_one(b));
+        assert_ne!(Shape::new(&[7, 3]), Shape::new(&[7, 3, 0]));
     }
 
     #[test]
@@ -120,6 +147,8 @@ mod tests {
         assert_eq!(s.offset(&[0, 0, 0]), 0);
         assert_eq!(s.offset(&[1, 2, 3]), 12 + 8 + 3);
         assert_eq!(s.offset(&[0, 1, 1]), 5);
+        let s4 = Shape::new(&[2, 3, 4, 5]);
+        assert_eq!(s4.offset(&[1, 2, 3, 4]), 60 + 40 + 15 + 4);
     }
 
     #[test]

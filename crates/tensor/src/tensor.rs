@@ -22,7 +22,7 @@ impl Clone for Tensor {
         // Clone through the scratch pool: tensor clones are hot in the
         // training loop (parameter injection, gradient fan-out).
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data: scratch::take_copied(&self.data),
         }
     }
@@ -51,24 +51,14 @@ impl Tensor {
 
     /// A tensor filled with zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Tensor {
-            shape,
-            data: vec![0.0; len],
-        }
+        Tensor::full(dims, 0.0)
     }
 
     /// A zero tensor whose storage is drawn from the thread-local
     /// [`scratch`] pool. Prefer this in hot loops; pair with
     /// [`Tensor::recycle`] to keep the pool primed.
     pub fn zeros_pooled(dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Tensor {
-            shape,
-            data: scratch::take_zeroed(len),
-        }
+        Tensor::full_pooled(dims, 0.0)
     }
 
     /// A constant tensor whose storage is drawn from the thread-local
@@ -298,7 +288,7 @@ impl Tensor {
                 .map(|(&a, &b)| op(a, b)),
         );
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data,
         }
     }
@@ -360,7 +350,7 @@ impl Tensor {
         let mut data = scratch::take(self.data.len());
         data.extend(self.data.iter().map(|&a| f(a)));
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             data,
         }
     }
